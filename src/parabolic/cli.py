@@ -70,21 +70,31 @@ def _int_field(obj: Any, key: str, where: str) -> int:
     return value
 
 
+def _list_field(value: Any, where: str) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{where} must be a JSON list")
+    return value
+
+
+def _int_list(value: Any, where: str) -> list[int]:
+    if not isinstance(value, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    ):
+        raise InputError(f"{where} must be a list of integers")
+    return value
+
+
 def parse_document(obj: Any) -> tuple[ParabolicBundle, list[GradedPiece] | None]:
     """Validate an input document into a bundle and optional graded pieces."""
     curve_obj = _require(obj, "curve", "document")
     bundle_obj = _require(obj, "bundle", "document")
     genus = _int_field(curve_obj, "genus", "curve")
     points = []
-    for i, pt in enumerate(curve_obj.get("points", [])):
+    for i, pt in enumerate(_list_field(curve_obj.get("points", []), "curve.points")):
         where = f"curve.points[{i}]"
         f = _int_field(pt, "degree", where)
         e = _int_field(pt, "ramification", where)
-        weights = _require(pt, "weights", where)
-        if not isinstance(weights, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in weights
-        ):
-            raise InputError(f"{where}.weights must be a list of integers")
+        weights = _int_list(_require(pt, "weights", where), f"{where}.weights")
         points.append(ParabolicPoint(f, e, validate_weights(weights)))
     rank = _int_field(bundle_obj, "rank", "bundle")
     degree = _int_field(bundle_obj, "degree", "bundle")
@@ -93,7 +103,7 @@ def parse_document(obj: Any) -> tuple[ParabolicBundle, list[GradedPiece] | None]
     pieces = None
     if "pieces" in obj:
         pieces = []
-        for i, pc in enumerate(obj["pieces"]):
+        for i, pc in enumerate(_list_field(obj["pieces"], "pieces")):
             where = f"pieces[{i}]"
             prank = _int_field(pc, "rank", where)
             wpp = _require(pc, "weights_per_point", where)
@@ -104,8 +114,7 @@ def parse_document(obj: Any) -> tuple[ParabolicBundle, list[GradedPiece] | None]
                 )
             ws = []
             for j, w in enumerate(wpp):
-                if not isinstance(w, list):
-                    raise InputError(f"{where}.weights_per_point[{j}] must be a list")
+                _int_list(w, f"{where}.weights_per_point[{j}]")
                 if len(w) != points[j].ramification + 1:
                     raise InputError(
                         f"{where}.weights_per_point[{j}] must have length "

@@ -1,15 +1,19 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_e).
 
 Elements are polynomial residues modulo the e-th cyclotomic polynomial
-Phi_e, with Fraction coefficients; inversion runs the extended Euclidean
-algorithm against Phi_e.  The root-of-unity sums computed here multiply
-by powers of zeta as cyclic index shifts modulo x^e - 1 and reduce once
-at the end: the quotient map Q[x]/(x^e - 1) -> Q[x]/(Phi_e) is a ring
+Phi_e: an integer numerator vector over one positive common denominator
+(the layout of FLINT's fmpq_poly), reduced modulo the monic Phi_e in plain
+int arithmetic.  The inverses (zeta^i - 1)^-1 behind the root-of-unity sums
+come from a closed form, certified once by one multiplication; the general
+inverse() runs extended Euclid and is off that path.  The sums multiply by
+powers of zeta as cyclic index shifts modulo x^e - 1 and reduce once at the
+end: the quotient map Q[x]/(x^e - 1) -> Q[x]/(Phi_e) is a ring
 homomorphism, so the reduced results are exact field values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -54,65 +58,60 @@ def _int_poly_exact_div(num: list[int], den: Sequence[int]) -> list[int]:
     return quot
 
 
-def _poly_inverse(a: Sequence[Fraction], modulus: Sequence[int]) -> list[Fraction]:
-    """Inverse of a modulo the (irreducible, monic) modulus, by extended Euclid."""
-    r0 = [Fraction(c) for c in modulus]
-    r1 = [Fraction(c) for c in a]
-    s0: list[Fraction] = [Fraction(0)]
-    s1: list[Fraction] = [Fraction(1)]
-    while any(r1):
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    while r0 and not r0[-1]:
-        r0.pop()
-    if len(r0) != 1:
-        raise ZeroDivisionError("element shares a factor with the modulus")
-    c = r0[0]
-    return [s / c for s in s0]
+def _poly_inverse(a: Sequence[int], modulus: Sequence[int]) -> tuple[list[int], int]:
+    """(s, c) with a * s == c, a nonzero integer, modulo the irreducible modulus.
+
+    Fraction-free extended Euclid: every step r0 <- lead(r1) r0 - lead(r0)
+    x^k r1 is repeated on the cofactor s0, and each (r, s) pair is divided
+    by its joint content, so r == s * a (mod modulus) holds throughout.
+    """
+    r0, s0, r1, s1 = list(modulus), [], list(a), [1]
+    while True:
+        while r1 and not r1[-1]:
+            r1.pop()
+        if not r1:
+            raise ZeroDivisionError("element shares a factor with the modulus")
+        if len(r1) == 1:
+            return s1, r1[0]
+        while len(r0) >= len(r1):
+            lead, c, k = r1[-1], r0[-1], len(r0) - len(r1)
+            if lead != 1:
+                r0 = [lead * x for x in r0]
+                s0 = [lead * x for x in s0]
+            s0 += [0] * (len(s1) + k - len(s0))
+            for j, x in enumerate(r1):
+                r0[j + k] -= c * x
+            for j, x in enumerate(s1):
+                s0[j + k] -= c * x
+            while r0 and not r0[-1]:
+                r0.pop()
+        g = math.gcd(*r0, *s0)
+        if g > 1:
+            r0, s0 = [x // g for x in r0], [x // g for x in s0]
+        r0, s0, r1, s1 = r1, s1, r0, s0
 
 
-def _poly_divmod(
-    num: Sequence[Fraction], den: Sequence[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    rem = list(num)
-    dn = len(den) - 1
-    while dn >= 0 and not den[dn]:
-        dn -= 1
-    if dn < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead = den[dn]
-    if len(rem) - 1 < dn:
-        return [Fraction(0)], rem
-    quot = [Fraction(0)] * (len(rem) - dn)
-    for top in range(len(rem) - 1, dn - 1, -1):
-        c = rem[top]
-        if c:
-            q = c / lead
-            quot[top - dn] = q
-            for j in range(dn + 1):
-                rem[top - dn + j] -= q * den[j]
-    return quot, rem[:dn]
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
+                out[i + j] += ai * bj
     return out
 
 
-def _poly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, ai in enumerate(a):
-        out[i] = ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return out
+def _inv_lift_closed_form(e: int, i: int) -> tuple[int, ...]:
+    """g * sum_{k<m} k x^(ik mod e) in Z[x]/(x^e - 1), g = gcd(i, e), m = e/g.
+
+    With w = zeta^i a primitive m-th root of unity, (w - 1) * sum_k k w^k
+    telescopes to (m - 1) - (w + ... + w^(m-1)) = m, so this lifts
+    e * (zeta^i - 1)^-1.
+    """
+    g = math.gcd(i, e)
+    lift = [0] * e
+    for k in range(e // g):
+        lift[(i * k) % e] = g * k
+    return tuple(lift)
 
 
 @lru_cache(maxsize=None)
@@ -124,8 +123,8 @@ def cyclo_field(e: int) -> "CycloField":
 class CycloField:
     """The field Q(zeta_e), presented as Q[x]/(Phi_e(x)).
 
-    Power tables and inverses are memoized append-only, so a field object
-    can be shared read-only across concurrent sweeps.
+    Power tables and inverse lifts are memoized append-only, so a field
+    object can be shared read-only across concurrent sweeps.
     """
 
     def __init__(self, e: int):
@@ -134,9 +133,10 @@ class CycloField:
         self.e = e
         self.modulus = cyclotomic_poly(e)
         self.degree = len(self.modulus) - 1
-        self._pows: list[tuple[Fraction, ...]] | None = None
-        self._inv_omega: dict[int, CycloElem] = {}
-        self._inv_scaled: dict[int, list[int]] = {}
+        # the nonzero non-leading terms of Phi_e, all that reduction touches
+        self._terms = tuple((j, c) for j, c in enumerate(self.modulus[:-1]) if c)
+        self._pows: list[tuple[int, ...]] | None = None
+        self._inv_lift: dict[int, tuple[int, ...]] = {}
 
     def __repr__(self) -> str:
         return f"CycloField({self.e})"
@@ -154,24 +154,30 @@ class CycloField:
         return self.from_rational(1)
 
     def from_rational(self, q: Fraction | int) -> "CycloElem":
-        coeffs = [Fraction(q)] + [Fraction(0)] * (self.degree - 1)
-        return CycloElem(self, tuple(coeffs))
+        q = Fraction(q)
+        return CycloElem(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     def from_cover(self, coeffs: Iterable[Fraction | int]) -> "CycloElem":
         """Reduce an arbitrary-degree coefficient vector modulo Phi_e."""
         rem = list(coeffs)
-        if not all(isinstance(c, int) for c in rem):
-            rem = [Fraction(c) for c in rem]
-        deg = self.degree
-        m = self.modulus
+        if all(isinstance(c, int) for c in rem):
+            return self._reduced(rem)
+        rem = [Fraction(c) for c in rem]
+        den = math.lcm(*(c.denominator for c in rem))
+        return self._reduced([c.numerator * (den // c.denominator) for c in rem], den)
+
+    def _reduced(self, rem: list[int], den: int = 1) -> "CycloElem":
+        """The element rem(zeta) / den; reduces the int vector rem in place."""
+        deg, terms = self.degree, self._terms
         for top in range(len(rem) - 1, deg - 1, -1):
             c = rem[top]
             if c:
-                for j in range(deg + 1):
-                    rem[top - deg + j] -= c * m[j]
-        rem = rem[:deg]
-        rem += [Fraction(0)] * (deg - len(rem))
-        return CycloElem(self, tuple(Fraction(c) for c in rem))
+                base = top - deg
+                for j, m in terms:
+                    rem[base + j] -= c * m
+        del rem[deg:]
+        rem += [0] * (deg - len(rem))
+        return _normalised(self, rem, den)
 
     def zeta(self) -> "CycloElem":
         return self.zeta_pow(1)
@@ -179,120 +185,122 @@ class CycloField:
     def zeta_pow(self, k: int) -> "CycloElem":
         """zeta^k for any integer k, via a table of all e distinct powers."""
         if self._pows is None:
-            self._pows = self._build_pows()
+            self._pows = [self._reduced([0] * j + [1]).num for j in range(self.e)]
         return CycloElem(self, self._pows[k % self.e])
 
-    def _build_pows(self) -> list[tuple[Fraction, ...]]:
-        deg = self.degree
-        m = self.modulus
-        pows = []
-        cur = [Fraction(1)] + [Fraction(0)] * (deg - 1)
-        for _ in range(self.e):
-            pows.append(tuple(cur))
-            lead = cur[-1]
-            cur = [Fraction(0)] + cur[:-1]
-            if lead:
-                cur = [a - lead * m[j] for j, a in enumerate(cur)]
-        return pows
-
     def inv_omega_minus_one(self, i: int) -> "CycloElem":
-        """(zeta^i - 1)^{-1}, cached; i must not be divisible by e."""
-        i %= self.e
-        if i == 0:
-            raise InvalidArgumentError("zeta^i - 1 vanishes for i = 0 mod e")
-        inv = self._inv_omega.get(i)
-        if inv is None:
-            inv = (self.zeta_pow(i) - 1).inverse()
-            self._inv_omega[i] = inv
-        return inv
+        """(zeta^i - 1)^{-1}; i must not be divisible by e."""
+        return self._reduced(list(self._inv_lift_scaled(i)), self.e)
 
-    def _inv_lift_scaled(self, i: int) -> list[int]:
-        """e * (zeta^i - 1)^{-1} as an integer vector of length e.
+    def _inv_lift_scaled(self, i: int) -> tuple[int, ...]:
+        """e * (zeta^i - 1)^{-1} as a certified integer vector of length e.
 
-        Scaled inverses are integral (their denominators divide e), which
-        lets the identity sums below accumulate in plain int arithmetic.
+        Scaled inverses are integral, which lets the identity sums below
+        accumulate in plain int arithmetic.  Each table entry is certified
+        once, when built: (x^i - 1) * lift must reduce to exactly e.
         """
-        cached = self._inv_scaled.get(i % self.e)
-        if cached is not None:
-            return cached
-        inv = self.inv_omega_minus_one(i)
-        scaled = []
-        for c in inv.coeffs:
-            s = c * self.e
-            if s.denominator != 1:
+        i %= self.e
+        lift = self._inv_lift.get(i)
+        if lift is None:
+            if i == 0:
+                raise InvalidArgumentError("zeta^i - 1 vanishes for i = 0 mod e")
+            lift = _inv_lift_closed_form(self.e, i)
+            product = [a - b for a, b in zip(_cyclic_shift(lift, i), lift)]
+            if self._reduced(product) != self.from_rational(self.e):
                 raise InternalInconsistencyError(
-                    f"e * (zeta^{i} - 1)^-1 is not integral in Q(zeta_{self.e})"
-                )
-            scaled.append(s.numerator)
-        scaled += [0] * (self.e - self.degree)
-        self._inv_scaled[i % self.e] = scaled
-        return scaled
+                    f"closed-form (zeta^{i} - 1)^-1 is wrong in Q(zeta_{self.e})")
+            self._inv_lift[i] = lift
+        return lift
+
+
+def _normalised(field: CycloField, num: list[int], den: int) -> "CycloElem":
+    """num / den with den > 0 and gcd(den, *num) == 1."""
+    if den < 0:
+        num, den = [-c for c in num], -den
+    g = math.gcd(den, *num)
+    if g != 1:
+        num, den = [c // g for c in num], den // g
+    return CycloElem(field, tuple(num), den)
+
+
+def _rational(x: object) -> Fraction | None:
+    return Fraction(x) if isinstance(x, (int, Fraction)) else None
 
 
 @dataclass(frozen=True)
 class CycloElem:
-    """An element of Q(zeta_e): Fraction coefficients of 1, zeta, ..., zeta^(phi-1)."""
+    """An element of Q(zeta_e): (num[0] + num[1] zeta + ... ) / den.
+
+    Always normalised (den > 0, gcd(den, *num) == 1), so dataclass equality
+    is field equality.
+    """
 
     field: CycloField
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int = 1
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Fraction coefficients of 1, zeta, ..., zeta^(phi-1)."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _coerce(self, other: object) -> "CycloElem | None":
         if isinstance(other, CycloElem):
             if other.field.e != self.field.e:
                 raise InvalidArgumentError("cannot mix elements of different fields")
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
-        return None
+        q = _rational(other)
+        return None if q is None else self.field.from_rational(q)
 
     def __add__(self, other: object) -> "CycloElem":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycloElem(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        a, b = self.den, o.den
+        if a == b:
+            return _normalised(self.field, [x + y for x, y in zip(self.num, o.num)], a)
+        return _normalised(self.field, [x * b + y * a for x, y in zip(self.num, o.num)], a * b)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "CycloElem":
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return CycloElem(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return NotImplemented if o is None else self + (-o)
 
     def __rsub__(self, other: object) -> "CycloElem":
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return NotImplemented if o is None else o + (-self)
 
     def __neg__(self) -> "CycloElem":
-        return CycloElem(self.field, tuple(-a for a in self.coeffs))
+        return CycloElem(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other: object) -> "CycloElem":
+        q = _rational(other)
+        if q is not None:
+            num = [c * q.numerator for c in self.num]
+            return _normalised(self.field, num, self.den * q.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.field.from_cover(_poly_mul(self.coeffs, o.coeffs))
+        return self.field._reduced(_poly_mul(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "CycloElem":
+        q = _rational(other)
+        if q is not None:
+            return self * (1 / q)
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        return NotImplemented if o is None else self * o.inverse()
 
     def __rtruediv__(self, other: object) -> "CycloElem":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        q = _rational(other)
+        return NotImplemented if q is None else self.inverse() * q
 
     def __pow__(self, n: int) -> "CycloElem":
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
+        result, base = self.field.one(), self
         while n:
             if n & 1:
                 result = result * base
@@ -301,19 +309,18 @@ class CycloElem:
         return result
 
     def inverse(self) -> "CycloElem":
-        if not any(self.coeffs):
+        if not any(self.num):
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        inv = _poly_inverse(self.coeffs, self.field.modulus)
-        inv += [Fraction(0)] * (self.field.degree - len(inv))
-        return CycloElem(self.field, tuple(inv[: self.field.degree]))
+        s, c = _poly_inverse(self.num, self.field.modulus)
+        return self.field._reduced([x * self.den for x in s], c)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def to_rational(self) -> Fraction:
         if not self.is_rational():
             raise InternalInconsistencyError(f"element is not rational: {self!r}")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def coeff_strings(self) -> list[str]:
         """Serialized form: "p/q" strings, lowest degree first."""
@@ -323,18 +330,23 @@ class CycloElem:
         return f"CycloElem(e={self.field.e}, coeffs={self.coeff_strings()})"
 
 
-def _cyclic_shift(vec: list, k: int) -> list:
+def _cyclic_shift(vec: tuple[int, ...], k: int) -> tuple[int, ...]:
     """Multiply by x^k modulo x^e - 1: a cyclic index shift."""
     k %= len(vec)
-    if k == 0:
-        return list(vec)
-    return vec[-k:] + vec[:-k]
+    return vec[-k:] + vec[:-k] if k else vec
 
 
 def _check_sum_domain(e: int) -> CycloField:
     if e < 2:
         raise InvalidArgumentError(f"root-of-unity sums require e >= 2, got {e}")
     return cyclo_field(e)
+
+
+def _shifted_lifts(field: CycloField, d: int) -> list[int]:
+    """Cover vector of e * sum over i = 1..e-1 of zeta^(i*d)/(zeta^i - 1)."""
+    e = field.e
+    shifted = (_cyclic_shift(field._inv_lift_scaled(i), i * d) for i in range(1, e))
+    return [sum(col) for col in zip(*shifted)]
 
 
 def geometric_sum(e: int, k: int) -> Fraction:
@@ -348,16 +360,13 @@ def geometric_sum(e: int, k: int) -> Fraction:
     acc = [0] * e
     for i in range(1, e):
         acc[(i * k) % e] += 1
-    return field.from_cover(acc).to_rational()
+    return field._reduced(acc).to_rational()
 
 
 def inverse_sum(e: int) -> Fraction:
     """Sum of 1/(zeta^i - 1) over i = 1..e-1; equals -(e-1)/2."""
     field = _check_sum_domain(e)
-    acc = field.zero()
-    for i in range(1, e):
-        acc = acc + field.inv_omega_minus_one(i)
-    return acc.to_rational()
+    return field._reduced(_shifted_lifts(field, 0), e).to_rational()
 
 
 def ratio_sum(e: int, d: int) -> Fraction:
@@ -365,13 +374,8 @@ def ratio_sum(e: int, d: int) -> Fraction:
     field = _check_sum_domain(e)
     if not 0 < d < e:
         raise InvalidArgumentError(f"ratio_sum requires 0 < d < e, got d={d}")
-    acc = [0] * e
-    for i in range(1, e):
-        v = field._inv_lift_scaled(i)
-        s = _cyclic_shift(v, (i * d) % e)
-        for j in range(e):
-            acc[j] += s[j] - v[j]
-    return (field.from_cover(acc) * Fraction(1, e)).to_rational()
+    acc = [a - b for a, b in zip(_shifted_lifts(field, d), _shifted_lifts(field, 0))]
+    return field._reduced(acc, e).to_rational()
 
 
 def shifted_sum(e: int, d: int) -> Fraction:
@@ -379,12 +383,7 @@ def shifted_sum(e: int, d: int) -> Fraction:
     field = _check_sum_domain(e)
     if not 0 < d <= e:
         raise InvalidArgumentError(f"shifted_sum requires 0 < d <= e, got d={d}")
-    acc = [0] * e
-    for i in range(1, e):
-        s = _cyclic_shift(field._inv_lift_scaled(i), (i * d) % e)
-        for j in range(e):
-            acc[j] += s[j]
-    return (field.from_cover(acc) * Fraction(1, e)).to_rational()
+    return field._reduced(_shifted_lifts(field, d), e).to_rational()
 
 
 def inertia_term(e: int, d: int, i: int) -> CycloElem:
@@ -402,8 +401,7 @@ def inertia_term(e: int, d: int, i: int) -> CycloElem:
         raise InvalidArgumentError(f"inertia_term requires 0 <= d < e, got d={d}")
     # 1/(1 - zeta^(-i)) == -(zeta^(e-i) - 1)^(-1)
     scaled = field._inv_lift_scaled(e - i)
-    shifted = field.from_cover(_cyclic_shift(scaled, (i * d) % e))
-    return shifted * Fraction(-1, e * e)
+    return field._reduced(list(_cyclic_shift(scaled, i * d)), -e * e)
 
 
 def inertia_total(e: int, d: int) -> Fraction:

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -235,3 +236,46 @@ def test_stdin_input(chi_path, monkeypatch):
     code, out, _ = invoke(["chi", "-i", "-"])
     assert code == 0
     assert json.loads(out)["chi"] == "-1"
+
+
+def test_gerbe_ed_of_a_large_prime_is_fast():
+    start = time.perf_counter()
+    code, out, _ = invoke(["gerbe-ed", "1000000000000000003"])
+    assert code == 0
+    assert json.loads(out) == {"n": 1000000000000000003, "ed_upper": 1000000000000000002}
+    code, out, _ = invoke(["gerbe-ed-p", "12", "--prime", "1000000000000000003"])
+    assert code == 0 and json.loads(out)["ed_p"] == 0
+    assert time.perf_counter() - start < 1.0
+
+
+def test_gerbe_ed_beyond_exact_bound_exits_2():
+    # a product of two primes near 1e18, so no factor below the trial limit
+    code, out, err = invoke(["gerbe-ed", str(1000000000000000003 * 1000000000000000009)])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("field, value", [("pieces", 5), ("points", {}), ("points", None)])
+def test_non_list_points_and_pieces_exit_2(tmp_path, field, value):
+    doc = json.loads(json.dumps(CHI_DOC))
+    if field == "pieces":
+        doc["pieces"] = value
+    else:
+        doc["curve"]["points"] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command in ("nil-dim", "chi"):
+        code, out, err = invoke([command, "-i", str(path)])
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert f"{field} must be a JSON list" in err
+
+
+def test_non_integer_piece_weight_exits_2(tmp_path):
+    doc = json.loads(json.dumps(CHI_DOC))
+    doc["pieces"] = [{"rank": 2, "weights_per_point": [["a", 1, 1, 0]]}]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(["nil-dim", "-i", str(path)])
+    assert code == 2 and out == ""
+    assert err == "error: pieces[0].weights_per_point[0] must be a list of integers\n"

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parabolic import cyclotomic
 from parabolic.cyclotomic import (
+    CycloField,
     cyclo_field,
     cyclotomic_poly,
     geometric_sum,
@@ -188,3 +190,48 @@ def test_coeff_strings_serialization():
     f = cyclo_field(4)
     x = f.zeta() * Fraction(1, 4) - Fraction(1, 8)
     assert x.coeff_strings() == ["-1/8", "1/4"]
+
+
+def test_closed_form_inverses_match_euclid():
+    for e in range(2, 61):
+        f = cyclo_field(e)
+        for i in range(1, e):
+            assert f.inv_omega_minus_one(i) == (f.zeta_pow(i) - 1).inverse(), (e, i)
+
+
+def test_corrupted_closed_form_is_rejected(monkeypatch):
+    exact = cyclotomic._inv_lift_closed_form
+
+    def off_by_one(e, i):
+        lift = list(exact(e, i))
+        lift[3] += 1
+        return tuple(lift)
+
+    monkeypatch.setattr(cyclotomic, "_inv_lift_closed_form", off_by_one)
+    for e, i in ((7, 1), (12, 4), (30, 7)):
+        # a fresh field, so the shared cached tables stay untouched
+        with pytest.raises(InternalInconsistencyError):
+            CycloField(e).inv_omega_minus_one(i)
+
+
+def _assert_normalised(x):
+    assert x.den > 0
+    assert gcd(x.den, *x.num) == 1
+    assert x.coeffs == tuple(Fraction(c, x.den) for c in x.num)
+
+
+def test_elements_stay_normalised():
+    f = cyclo_field(12)
+    a = f.from_cover([Fraction(1, 6), Fraction(-1, 4), 0, Fraction(2, 3)])
+    b = f.from_cover([Fraction(1, 10), 0, Fraction(5, 6), 0, Fraction(3, 2)])
+    assert (a.num, a.den) == ((2, -3, 0, 8), 12)
+    total = a + b
+    assert total.coeffs == (Fraction(1, 6) + Fraction(1, 10) - Fraction(3, 2),
+                            Fraction(-1, 4), Fraction(5, 6) + Fraction(3, 2),
+                            Fraction(2, 3))
+    scaled = a * Fraction(-6, 5)
+    assert scaled.coeffs == (Fraction(-1, 5), Fraction(3, 10), 0, Fraction(-4, 5))
+    assert (a / Fraction(1, 12)).coeffs == (2, -3, 0, 8)
+    assert (a - a) == f.zero() and (a - a).den == 1
+    for x in (a, b, total, scaled, a * b, -a, b.inverse(), a / 3, 2 - a, f.zeta_pow(5)):
+        _assert_normalised(x)

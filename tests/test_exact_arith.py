@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parabolic.bigprime import _MR_BASES, MR_EXACT_BOUND
 from parabolic.errors import InvalidArgumentError
 from parabolic.exact_arith import (
+    TRIAL_LIMIT,
     divisors,
     euler_phi,
     factorize,
@@ -114,3 +116,53 @@ def test_divisors():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
     assert divisors(97) == [1, 97]
+
+
+def _trial_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    # past TRIAL_LIMIT**2 the test switches from trial division to Miller-Rabin
+    lo = TRIAL_LIMIT * TRIAL_LIMIT - 2000
+    for n in range(lo, lo + 6000):
+        assert is_prime(n) == _trial_is_prime(n), n
+    # strong pseudoprimes to several small bases
+    for n in (3215031751, 2152302898747, 3474749660383, 341550071728321):
+        assert not is_prime(n)
+    assert is_prime(1000000000000000003)
+
+
+def test_exact_bound_is_the_first_pseudoprime_to_every_base():
+    # the bound itself is composite yet passes all 13 bases, so it must be refused
+    assert MR_EXACT_BOUND == 1287836182261 * 2575672364521
+    d, s = MR_EXACT_BOUND - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, MR_EXACT_BOUND)
+        assert x in (1, MR_EXACT_BOUND - 1) or any(
+            pow(x, 2**j, MR_EXACT_BOUND) == MR_EXACT_BOUND - 1 for j in range(1, s)
+        )
+    with pytest.raises(InvalidArgumentError):
+        is_prime(MR_EXACT_BOUND)
+
+
+def test_factorize_splits_large_semiprimes():
+    p, q = 1000000000039, 1000003
+    assert factorize(p * q * q * 12) == [(2, 2), (3, 1), (q, 2), (p, 1)]
+    assert factorize(1000000000000000003) == [(1000000000000000003, 1)]
+    r, s = 4294967311, 4294967357  # primes far above TRIAL_LIMIT: rho must split them
+    assert factorize(r * s) == [(r, 1), (s, 1)]
+    assert factorize(r * r) == [(r, 2)]
+
+
+def test_cofactor_beyond_exact_bound_is_refused():
+    n = 1000000000000000003 * 1000000000000000009
+    with pytest.raises(InvalidArgumentError):
+        factorize(n)
+    with pytest.raises(InvalidArgumentError):
+        is_prime(n)
+    # numbers past the bound are fine when trial division finishes them
+    assert factorize(2**100 * 3) == [(2, 100), (3, 1)]
+    assert not is_prime(MR_EXACT_BOUND * 1024)
