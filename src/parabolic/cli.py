@@ -11,10 +11,14 @@ Input documents describe an orbifold curve and a bundle on it::
     }
 
 ``pieces`` is optional and only consulted by ``nil-dim`` and
-``trdeg-bound``.  Output is JSON by default (``--format text`` for a plain
+``trdeg-bound``; without it, both use the one piece carrying the bundle's
+own weights.  Output is JSON by default (``--format text`` for a plain
 table; the PARAB_FORMAT environment variable overrides the flag).  Exit
 codes: 0 success, 1 hypothesis violation, 2 input error, 3 verification
 failure.  Rationals are emitted as exact "p/q" strings, never floats.
+
+Each ``COMMANDS`` entry is (help, arguments, handler).  A handler returns the
+payload to print; the exit code is 3 when its ``"pass"`` is false, else 0.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Sequence, TextIO
+from typing import Any, Callable, Sequence, TextIO
 
 from .bounds import (
     GradedPiece,
@@ -103,7 +107,9 @@ def parse_document(obj: Any) -> tuple[ParabolicBundle, list[GradedPiece] | None]
     pieces = None
     if "pieces" in obj:
         pieces = []
-        for i, pc in enumerate(_list_field(obj["pieces"], "pieces")):
+        if not _list_field(obj["pieces"], "pieces"):
+            raise InputError("pieces must list at least one graded piece")
+        for i, pc in enumerate(obj["pieces"]):
             where = f"pieces[{i}]"
             prank = _int_field(pc, "rank", where)
             wpp = _require(pc, "weights_per_point", where)
@@ -152,12 +158,16 @@ def _load_document(path: str) -> Any:
                 text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read input: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"input is not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise InputError("JSON is nested too deeply") from exc
 
 
 def _render_text(payload: Any, indent: str = "") -> list[str]:
@@ -208,122 +218,113 @@ def _prime_arg(value: int) -> int:
     return value
 
 
+def _in_range(name: str, value: int, low: int, high: int | None = None) -> int:
+    if value < low:
+        raise InputError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise InputError(f"{name} must be <= {high}, got {value}")
+    return value
+
+
+def _bundle(args: argparse.Namespace) -> ParabolicBundle:
+    return parse_document(_load_document(args.input))[0]
+
+
+def _graded(args: argparse.Namespace) -> tuple[ParabolicBundle, list[GradedPiece]]:
+    """The bundle and its pieces; by default one piece with the bundle's own weights."""
+    bundle, pieces = parse_document(_load_document(args.input))
+    if pieces is None:
+        pieces = [GradedPiece(bundle.rank, tuple(p.weights for p in bundle.curve.points))]
+    return bundle, pieces
+
+
+def _flag_dim(args: argparse.Namespace) -> dict:
+    bundle = _bundle(args)
+    per_point = [flag_dim(p.weights) for p in bundle.curve.points]
+    return {"per_point": per_point, "flag_total": flag_total(bundle)}
+
+
+def _nil_dim(args: argparse.Namespace) -> dict:
+    bundle, pieces = _graded(args)
+    degrees = [p.degree for p in bundle.curve.points]
+    return {"nil_dimension": nil_dimension(bundle.curve.genus, pieces, degrees)}
+
+
+def _trdeg_bound(args: argparse.Namespace) -> dict:
+    bundle, pieces = _graded(args)
+    flags = flag_total(bundle)
+    if args.nonsimple:
+        value = trdeg_bound_nonsimple(bundle.curve.genus, bundle.rank, flags)
+        return {"trdeg_bound": value, "mode": "nonsimple"}
+    value = trdeg_bound_indecomposable(bundle.curve.genus, [pc.rank for pc in pieces], flags)
+    return {"trdeg_bound": value, "mode": "indecomposable"}
+
+
+def _verify(args: argparse.Namespace) -> dict:
+    # fixed ceilings bound the work: the cost grows about like e_max^3 (~16 s at 150)
+    e_max = _in_range("--e-max", args.e_max, 2, 150)
+    count = _in_range("--random", args.random, 0, 100_000)
+    reports = run_all(e_max=e_max, random_count=count, seed=args.seed)
+    return {"pass": all(r.passed for r in reports),
+            "reports": [r.to_json_obj() for r in reports]}
+
+
+# an argument is (*flags, add_argument options)
+_INPUT = ("-i", "--input", {"required": True, "metavar": "FILE",
+                            "help": "JSON document ('-' for stdin)"})
+_FORMAT = ("--format", {"choices": ("json", "text"), "default": "json"})
+_PRIME = ("--prime", {"type": int, "required": True})
+_N = ("n", {"type": int, "metavar": "N"})
+_DOC = (_INPUT, _FORMAT)
+
+# name -> (help, arguments in --help order, handler returning the payload)
+COMMANDS: dict[str, tuple[str, tuple, Callable[[argparse.Namespace], dict]]] = {
+    "chi": ("Euler characteristic report for the bundle", _DOC,
+            lambda a: euler_char(_bundle(a)).to_json_obj()),
+    "end-chi": ("Euler characteristic of the endomorphism bundle", _DOC,
+                lambda a: {"end_chi": rational_str(end_euler_char(_bundle(a)))}),
+    "flag-dim": ("flag dimensions at each point and their weighted total", _DOC, _flag_dim),
+    "hom-datum": ("document for the endomorphism bundle", _DOC,
+                  lambda a: document_json(end_bundle(_bundle(a)))),
+    "stacky-degree": ("degree measured on the orbifold", _DOC,
+                      lambda a: {"stacky_degree": rational_str(stacky_degree(_bundle(a)))}),
+    "index": ("gerbe index h = gcd(rank, degree, interior weights)", _DOC,
+              lambda a: {"h": gerbe_index(_bundle(a))}),
+    "ed-bound": ("essential-dimension upper bound report", _DOC,
+                 lambda a: ed_upper_bound(_bundle(a)).to_json_obj()),
+    # the document is parsed before --prime is checked
+    "ed-p": ("essential p-dimension report", (*_DOC, _PRIME),
+             lambda a: ed_p_value(_bundle(a), _prime_arg(a.prime)).to_json_obj()),
+    "nil-dim": ("dimension of the nilpotent-endomorphism stack", _DOC, _nil_dim),
+    "trdeg-bound": (
+        "transcendence-degree bound for the field of moduli",
+        (*_DOC, ("--nonsimple", {"action": "store_true", "help":
+                                 "use the bound for bundles with a non-scalar endomorphism"})),
+        _trdeg_bound),
+    "gerbe-ed": ("essential-dimension bound for a gerbe of index N", (_N, _FORMAT),
+                 lambda a: {"n": a.n, "ed_upper": gerbe_ed_upper(_in_range("N", a.n, 1))}),
+    "gerbe-ed-p": ("essential p-dimension for a gerbe of index N", (_N, _FORMAT, _PRIME),
+                   lambda a: {"n": a.n, "prime": a.prime,
+                              "ed_p": gerbe_ed_p(_in_range("N", a.n, 1), _prime_arg(a.prime))}),
+    "verify": ("run every identity verification suite", (
+        ("--e-max", {"type": int, "default": 12}),
+        ("--random", {"type": int, "default": 100, "metavar": "N",
+                      "help": "random cases per randomized suite"}),
+        ("--seed", {"type": int, "default": 1}), _FORMAT), _verify),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parabolic",
         description="Exact invariants of parabolic bundles on orbifold curves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def doc_command(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, (help_text, arguments, _handler) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("-i", "--input", required=True, metavar="FILE",
-                       help="JSON document ('-' for stdin)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        return p
-
-    doc_command("chi", "Euler characteristic report for the bundle")
-    doc_command("end-chi", "Euler characteristic of the endomorphism bundle")
-    doc_command("flag-dim", "flag dimensions at each point and their weighted total")
-    doc_command("hom-datum", "document for the endomorphism bundle")
-    doc_command("stacky-degree", "degree measured on the orbifold")
-    doc_command("index", "gerbe index h = gcd(rank, degree, interior weights)")
-    doc_command("ed-bound", "essential-dimension upper bound report")
-    p = doc_command("ed-p", "essential p-dimension report")
-    p.add_argument("--prime", type=int, required=True)
-    doc_command("nil-dim", "dimension of the nilpotent-endomorphism stack")
-    p = doc_command("trdeg-bound", "transcendence-degree bound for the field of moduli")
-    p.add_argument("--nonsimple", action="store_true",
-                   help="use the bound for bundles with a non-scalar endomorphism")
-
-    for name, help_text in (
-        ("gerbe-ed", "essential-dimension bound for a gerbe of index N"),
-        ("gerbe-ed-p", "essential p-dimension for a gerbe of index N"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("n", type=int, metavar="N")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        if name == "gerbe-ed-p":
-            p.add_argument("--prime", type=int, required=True)
-
-    p = sub.add_parser("verify", help="run every identity verification suite")
-    p.add_argument("--e-max", type=int, default=12)
-    p.add_argument("--random", type=int, default=100, metavar="N",
-                   help="random cases per randomized suite")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--format", choices=("json", "text"), default="json")
+        for *flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
-
-
-def _dispatch(args: argparse.Namespace) -> tuple[Any, int]:
-    command = args.command
-
-    if command == "verify":
-        if args.e_max < 2:
-            raise InputError(f"--e-max must be >= 2, got {args.e_max}")
-        if args.random < 0:
-            raise InputError(f"--random must be >= 0, got {args.random}")
-        reports = run_all(e_max=args.e_max, random_count=args.random, seed=args.seed)
-        ok = all(r.passed for r in reports)
-        payload = {"pass": ok, "reports": [r.to_json_obj() for r in reports]}
-        return payload, EXIT_OK if ok else EXIT_VERIFY
-
-    if command == "gerbe-ed":
-        if args.n < 1:
-            raise InputError(f"N must be >= 1, got {args.n}")
-        return {"n": args.n, "ed_upper": gerbe_ed_upper(args.n)}, EXIT_OK
-
-    if command == "gerbe-ed-p":
-        if args.n < 1:
-            raise InputError(f"N must be >= 1, got {args.n}")
-        p = _prime_arg(args.prime)
-        return {"n": args.n, "prime": p, "ed_p": gerbe_ed_p(args.n, p)}, EXIT_OK
-
-    bundle, pieces = parse_document(_load_document(args.input))
-    curve = bundle.curve
-
-    if command == "chi":
-        return euler_char(bundle).to_json_obj(), EXIT_OK
-
-    if command == "end-chi":
-        return {"end_chi": rational_str(end_euler_char(bundle))}, EXIT_OK
-
-    if command == "flag-dim":
-        per_point = [flag_dim(p.weights) for p in curve.points]
-        return {"per_point": per_point, "flag_total": flag_total(bundle)}, EXIT_OK
-
-    if command == "hom-datum":
-        return document_json(end_bundle(bundle)), EXIT_OK
-
-    if command == "stacky-degree":
-        return {"stacky_degree": rational_str(stacky_degree(bundle))}, EXIT_OK
-
-    if command == "index":
-        return {"h": gerbe_index(bundle)}, EXIT_OK
-
-    if command == "ed-bound":
-        return ed_upper_bound(bundle).to_json_obj(), EXIT_OK
-
-    if command == "ed-p":
-        return ed_p_value(bundle, _prime_arg(args.prime)).to_json_obj(), EXIT_OK
-
-    if command == "nil-dim":
-        if pieces is None:
-            # default: a single piece carrying the bundle's own data
-            pieces = [GradedPiece(bundle.rank, tuple(p.weights for p in curve.points))]
-        value = nil_dimension(curve.genus, pieces, [p.degree for p in curve.points])
-        return {"nil_dimension": value}, EXIT_OK
-
-    if command == "trdeg-bound":
-        flags = flag_total(bundle)
-        if args.nonsimple:
-            value = trdeg_bound_nonsimple(curve.genus, bundle.rank, flags)
-            return {"trdeg_bound": value, "mode": "nonsimple"}, EXIT_OK
-        ranks = [pc.rank for pc in pieces] if pieces else [bundle.rank]
-        value = trdeg_bound_indecomposable(curve.genus, ranks, flags)
-        return {"trdeg_bound": value, "mode": "indecomposable"}, EXIT_OK
-
-    raise InputError(f"unknown command {command!r}")
 
 
 def run(argv: Sequence[str], stdout: TextIO | None = None,
@@ -338,16 +339,14 @@ def run(argv: Sequence[str], stdout: TextIO | None = None,
         # argparse reports usage errors itself and exits with 2
         return EXIT_INPUT if exc.code else EXIT_OK
 
-    fmt = getattr(args, "format", "json")
-    env_fmt = os.environ.get("PARAB_FORMAT")
-    if env_fmt is not None:
-        if env_fmt not in ("json", "text"):
-            stderr.write(f"error: PARAB_FORMAT must be 'json' or 'text', got {env_fmt!r}\n")
-            return EXIT_INPUT
-        fmt = env_fmt
+    # --format is always valid, so a bad value here came from the environment
+    fmt = os.environ.get("PARAB_FORMAT", args.format)
+    if fmt not in ("json", "text"):
+        stderr.write(f"error: PARAB_FORMAT must be 'json' or 'text', got {fmt!r}\n")
+        return EXIT_INPUT
 
     try:
-        payload, code = _dispatch(args)
+        payload = COMMANDS[args.command][2](args)
     except (InputError, InvalidArgumentError) as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
@@ -355,7 +354,7 @@ def run(argv: Sequence[str], stdout: TextIO | None = None,
         stderr.write(f"error: {exc}\n")
         return EXIT_HYPOTHESIS
     _emit(payload, fmt, stdout)
-    return code
+    return EXIT_OK if payload.get("pass", True) else EXIT_VERIFY
 
 
 def main() -> None:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 from .bounds import ed_p_value, ed_upper_bound, gerbe_ed_p, gerbe_ed_upper, gerbe_index
 from .core import (
@@ -95,6 +96,11 @@ class VerificationReport:
                 {"params": params, "expected": str(expected), "got": str(got)}
             )
 
+    def absorb(self, other: VerificationReport) -> None:
+        """Add another report's cases and failures to this one."""
+        self.cases += other.cases
+        self.failures.extend(other.failures)
+
     def to_json_obj(self) -> dict:
         return {
             "name": self.name,
@@ -103,6 +109,17 @@ class VerificationReport:
             "failures": self.failures,
             "pass": self.passed,
         }
+
+
+def _sweep(name: str, parameter_range: str, count: int, seed: int,
+           draw: Callable[[Lcg64], Any],
+           verify: Callable[[Any], VerificationReport]) -> VerificationReport:
+    """Verify ``count`` draws from one seeded generator, merged into one report."""
+    rng = Lcg64(seed)
+    report = VerificationReport(name, parameter_range)
+    for _ in range(count):
+        report.absorb(verify(draw(rng)))
+    return report
 
 
 def _draw_weights(rng: Lcg64, e: int, r: int) -> Weights:
@@ -200,18 +217,14 @@ def verify_hom_identity(w: Weights) -> VerificationReport:
 def hom_identity_suite(count: int, seed: int, max_ram: int = 12,
                        max_rank: int = 10) -> VerificationReport:
     """Hom-datum identity on seeded random weights (e <= max_ram, r <= max_rank)."""
-    rng = Lcg64(seed)
-    report = VerificationReport(
+    return _sweep(
         "hom-datum-identity",
         f"{count} random weights, e <= {max_ram}, r <= {max_rank}, seed {seed}",
+        count, seed,
+        # draw order: e, then r, then the weights
+        lambda rng: _draw_weights(rng, 1 + rng.below(max_ram), 1 + rng.below(max_rank)),
+        verify_hom_identity,
     )
-    for _ in range(count):
-        e = 1 + rng.below(max_ram)
-        r = 1 + rng.below(max_rank)
-        single = verify_hom_identity(_draw_weights(rng, e, r))
-        report.cases += single.cases
-        report.failures.extend(single.failures)
-    return report
 
 
 def verify_cyclotomic_suite(e_max: int) -> VerificationReport:
@@ -256,12 +269,8 @@ def verify_inertia_totals(e_max: int) -> VerificationReport:
             total = field_e.zero()
             for i in range(1, e):
                 total = total + inertia_term(e, d, i)
-            if not total.is_rational():
-                report.cases += 1
-                report.failures.append(
-                    {"params": f"e={e} d={d}", "expected": "a rational value",
-                     "got": repr(total)}
-                )
+            if not total.is_rational():  # recorded as a failure
+                report.check(f"e={e} d={d}", "a rational value", repr(total))
                 continue
             report.check(
                 f"e={e} d={d}", inertia_total(e, d), total.to_rational()
@@ -297,15 +306,8 @@ def verify_chi_two_routes(bundle: ParabolicBundle) -> VerificationReport:
 
 def chi_suite(count: int, seed: int, **ranges) -> VerificationReport:
     """Two-route Euler characteristic check over seeded random bundles."""
-    rng = Lcg64(seed)
-    report = VerificationReport(
-        "chi-two-routes", f"{count} random bundles, seed {seed}"
-    )
-    for _ in range(count):
-        single = verify_chi_two_routes(_draw_bundle(rng, **ranges))
-        report.cases += single.cases
-        report.failures.extend(single.failures)
-    return report
+    return _sweep("chi-two-routes", f"{count} random bundles, seed {seed}", count, seed,
+                  partial(_draw_bundle, **ranges), verify_chi_two_routes)
 
 
 def root_line_suite(max_ram: int = 10, genera: Sequence[int] = (0, 1, 2, 5),
@@ -328,9 +330,7 @@ def root_line_suite(max_ram: int = 10, genera: Sequence[int] = (0, 1, 2, 5),
                     report.check(
                         f"{params} stacky", Fraction(i * f, e), rep.stacky_degree
                     )
-                    chk = verify_chi_two_routes(b)
-                    report.cases += chk.cases
-                    report.failures.extend(chk.failures)
+                    report.absorb(verify_chi_two_routes(b))
     return report
 
 
@@ -354,48 +354,41 @@ def verify_end_chi(bundle: ParabolicBundle) -> VerificationReport:
 
 def end_chi_suite(count: int, seed: int, **ranges) -> VerificationReport:
     """Two-route endomorphism chi check over seeded random bundles."""
-    rng = Lcg64(seed)
+    return _sweep("end-chi-two-routes", f"{count} random bundles, seed {seed}", count, seed,
+                  partial(_draw_bundle, **ranges), verify_end_chi)
+
+
+def verify_ed_consistency(bundle: ParabolicBundle) -> VerificationReport:
+    """ed_p <= ed upper bound for every p | h, and the gerbe terms sum up.
+
+    The essential-dimension formulas need genus >= 2.
+    """
+    b = bundle
     report = VerificationReport(
-        "end-chi-two-routes", f"{count} random bundles, seed {seed}"
+        "ed-consistency",
+        f"g={b.curve.genus} r={b.rank} d={b.degree} points={len(b.curve.points)}",
     )
-    for _ in range(count):
-        single = verify_end_chi(_draw_bundle(rng, **ranges))
-        report.cases += single.cases
-        report.failures.extend(single.failures)
+    upper = ed_upper_bound(b)
+    h = upper.h
+    params = f"g={b.curve.genus} r={b.rank} d={b.degree} h={h}"
+    for p, _a in factorize(h):
+        edp = ed_p_value(b, p)
+        report.check(f"{params} p={p} ed_p<=ed", True, edp.total <= upper.total)
+        report.check(f"{params} p={p} gerbe-term", gerbe_ed_p(h, p), edp.gerbe_term)
+    report.check(
+        f"{params} gerbe-sum",
+        gerbe_ed_upper(h),
+        sum(gerbe_ed_p(h, p) for p, _a in factorize(h)),
+    )
+    report.check(f"{params} h", gerbe_index(b), h)
     return report
 
 
 def ed_consistency_suite(count: int, seed: int, **ranges) -> VerificationReport:
-    """ed_p <= ed upper bound for every p | h, and the gerbe terms sum up.
-
-    Bundles are drawn with genus >= 2, the standing hypothesis of the
-    essential-dimension formulas.
-    """
-    rng = Lcg64(seed)
+    """verify_ed_consistency over seeded random bundles of genus >= 2."""
     ranges.setdefault("genus_range", (2, 5))
-    report = VerificationReport(
-        "ed-consistency", f"{count} random bundles, seed {seed}, genus >= 2"
-    )
-    for _ in range(count):
-        b = _draw_bundle(rng, **ranges)
-        upper = ed_upper_bound(b)
-        h = upper.h
-        params = f"g={b.curve.genus} r={b.rank} d={b.degree} h={h}"
-        for p, _a in factorize(h):
-            edp = ed_p_value(b, p)
-            report.check(
-                f"{params} p={p} ed_p<=ed",
-                True,
-                edp.total <= upper.total,
-            )
-            report.check(f"{params} p={p} gerbe-term", gerbe_ed_p(h, p), edp.gerbe_term)
-        report.check(
-            f"{params} gerbe-sum",
-            gerbe_ed_upper(h),
-            sum(gerbe_ed_p(h, p) for p, _a in factorize(h)),
-        )
-        report.check(f"{params} h", gerbe_index(b), h)
-    return report
+    return _sweep("ed-consistency", f"{count} random bundles, seed {seed}, genus >= 2",
+                  count, seed, partial(_draw_bundle, **ranges), verify_ed_consistency)
 
 
 def run_all(e_max: int = 12, random_count: int = 100, seed: int = 1) -> list[VerificationReport]:

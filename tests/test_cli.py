@@ -1,6 +1,7 @@
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -279,3 +280,66 @@ def test_non_integer_piece_weight_exits_2(tmp_path):
     code, out, err = invoke(["nil-dim", "-i", str(path)])
     assert code == 2 and out == ""
     assert err == "error: pieces[0].weights_per_point[0] must be a list of integers\n"
+
+
+def test_non_utf8_input_exits_2(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, out, err = invoke(["chi", "-i", str(path)])
+    assert code == 2 and out == ""
+    assert err == "error: input is not UTF-8 text (byte 0: invalid start byte)\n"
+
+
+def test_deeply_nested_json_exits_2(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = invoke(["chi", "-i", str(path)])
+    assert code == 2 and out == ""
+    assert err == "error: JSON is nested too deeply\n"
+
+
+@pytest.mark.parametrize("command", ["nil-dim", "trdeg-bound"])
+def test_empty_pieces_exit_2(tmp_path, command):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(dict(CHI_DOC, pieces=[])))
+    code, out, err = invoke([command, "-i", str(path)])
+    assert code == 2 and out == ""
+    assert err == "error: pieces must list at least one graded piece\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--e-max", "151"], "--e-max must be <= 150, got 151"),
+    (["--random", "100001"], "--random must be <= 100000, got 100001"),
+])
+def test_verify_ceilings_exit_2_at_once(argv, message):
+    start = time.perf_counter()
+    code, out, err = invoke(["verify", *argv])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# stdout of every command on the README's example document, recorded before
+# the command table replaced the per-command dispatch
+README_OUTPUTS = json.loads(
+    (Path(__file__).resolve().parent / "data" / "cli_readme_example.json").read_text()
+)
+
+
+@pytest.mark.parametrize("command", sorted(README_OUTPUTS))
+def test_every_command_on_the_readme_example(tmp_path, command):
+    text = README.read_text()
+    start = text.index("```json\n") + len("```json\n")
+    path = tmp_path / "bundle.json"
+    path.write_text(text[start:text.index("```", start)])
+    case = README_OUTPUTS[command]
+    argv = [str(path) if arg == "{doc}" else arg for arg in case["argv"]]
+    for fmt in ("json", "text"):
+        assert invoke([*argv, "--format", fmt]) == (case["code"], case[fmt], "")
+
+
+def test_readme_table_names_every_command():
+    rows = [line for line in README.read_text().splitlines() if line.startswith("| `")]
+    documented = [row.split("`")[1].split()[0] for row in rows]
+    assert documented == list(cli.COMMANDS)
+    assert len(documented) == 13

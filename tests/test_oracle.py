@@ -7,6 +7,7 @@ from parabolic.errors import InvalidArgumentError
 from parabolic.oracle import (
     Lcg64,
     VerificationReport,
+    _sweep,
     brute_flag_dim,
     chi_suite,
     ed_consistency_suite,
@@ -19,6 +20,7 @@ from parabolic.oracle import (
     run_all,
     verify_chi_two_routes,
     verify_cyclotomic_suite,
+    verify_ed_consistency,
     verify_end_chi,
     verify_hom_identity,
     verify_inertia_totals,
@@ -126,6 +128,29 @@ def test_ed_consistency_suite():
     report = ed_consistency_suite(50, seed=17)
     assert report.passed
     assert report.cases >= 100
+    # h = 12: one ed_p<=ed and one gerbe-term check for p = 2 and p = 3, then gerbe-sum and h
+    single = verify_ed_consistency(bundle_on(2, 12, 24, [(1, 2, [12, 12, 0])]))
+    assert single.passed and single.cases == 6
+
+
+def test_sweep_merges_one_failing_draw():
+    seen = []
+
+    def draw(rng):
+        seen.append(rng.next_u64())
+        return len(seen)
+
+    def verify(index):
+        report = VerificationReport("single", f"draw {index}")
+        report.check(f"draw={index} first", 0, 0)
+        report.check(f"draw={index} second", 0, 1 if index == 3 else 0)
+        return report
+
+    merged = _sweep("demo", "5 draws", 5, 42, draw, verify)
+    assert (merged.name, merged.parameter_range, merged.cases) == ("demo", "5 draws", 10)
+    assert merged.failures == [{"params": "draw=3 second", "expected": "0", "got": "1"}]
+    rng = Lcg64(42)  # every draw comes from one generator, seeded once
+    assert seen == [rng.next_u64() for _ in range(5)]
 
 
 def test_report_records_failures():
