@@ -58,6 +58,11 @@ EXIT_HYPOTHESIS = 1
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
 
+# caps on an input document (exit 2 beyond them); with 1000-digit integers every
+# printed product stays below Python's 4300-digit int-to-str limit
+MAX_DOCUMENT_CHARS = 1 << 20
+MAX_INT_DIGITS = 1000
+
 
 def _require(obj: Any, key: str, where: str) -> Any:
     if not isinstance(obj, dict):
@@ -149,19 +154,27 @@ def document_json(bundle: ParabolicBundle) -> dict:
     }
 
 
+def _bounded_int(literal: str) -> int:
+    if len(literal.lstrip("-")) > MAX_INT_DIGITS:
+        raise InputError(f"integer literal longer than {MAX_INT_DIGITS} digits")
+    return int(literal)
+
+
 def _load_document(path: str) -> Any:
     try:
         if path == "-":
-            text = sys.stdin.read()
+            text = sys.stdin.read(MAX_DOCUMENT_CHARS + 1)
         else:
             with open(path, encoding="utf-8") as fh:
-                text = fh.read()
+                text = fh.read(MAX_DOCUMENT_CHARS + 1)
     except OSError as exc:
         raise InputError(f"cannot read input: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"input is not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+    if len(text) > MAX_DOCUMENT_CHARS:
+        raise InputError(f"input is longer than {MAX_DOCUMENT_CHARS} characters")
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_bounded_int)
     except json.JSONDecodeError as exc:
         raise InputError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -170,24 +183,18 @@ def _load_document(path: str) -> Any:
         raise InputError("JSON is nested too deeply") from exc
 
 
-def _render_text(payload: Any, indent: str = "") -> list[str]:
-    lines: list[str] = []
+def _render_text(payload: dict | list, indent: str = "") -> list[str]:
     if isinstance(payload, dict):
-        for key, value in payload.items():
-            if isinstance(value, (dict, list)) and value and not _is_flat(value):
-                lines.append(f"{indent}{key}:")
-                lines.extend(_render_text(value, indent + "  "))
-            else:
-                lines.append(f"{indent}{key}: {_flat(value)}")
-    elif isinstance(payload, list):
-        for item in payload:
-            if isinstance(item, (dict, list)) and item and not _is_flat(item):
-                lines.append(f"{indent}-")
-                lines.extend(_render_text(item, indent + "  "))
-            else:
-                lines.append(f"{indent}- {_flat(item)}")
+        pairs = [(f"{key}:", value) for key, value in payload.items()]
     else:
-        lines.append(f"{indent}{_flat(payload)}")
+        pairs = [("-", item) for item in payload]
+    lines: list[str] = []
+    for label, value in pairs:
+        if isinstance(value, (dict, list)) and value and not _is_flat(value):
+            lines.append(f"{indent}{label}")
+            lines.extend(_render_text(value, indent + "  "))
+        else:
+            lines.append(f"{indent}{label} {_flat(value)}")
     return lines
 
 

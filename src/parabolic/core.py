@@ -43,8 +43,12 @@ class Weights:
 
 
 def validate_weights(entries: Iterable[int]) -> Weights:
-    """Build a Weights value, rejecting anything non-monotone or unterminated."""
-    return Weights(tuple(int(x) for x in entries))
+    """Build a Weights value from ints (a bool, float or str is refused, never
+    coerced), rejecting anything non-monotone or unterminated."""
+    n = tuple(entries)
+    if not all(type(x) is int for x in n):
+        raise InvalidWeightsError(f"weights must be integers, got {n!r}")
+    return Weights(n)
 
 
 def jumps(w: Weights) -> tuple[int, ...]:

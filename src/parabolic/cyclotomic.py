@@ -123,8 +123,8 @@ def cyclo_field(e: int) -> "CycloField":
 class CycloField:
     """The field Q(zeta_e), presented as Q[x]/(Phi_e(x)).
 
-    Power tables and inverse lifts are memoized append-only, so a field
-    object can be shared read-only across concurrent sweeps.
+    Inverse lifts are memoized append-only, so a field object can be
+    shared read-only across concurrent sweeps.
     """
 
     def __init__(self, e: int):
@@ -135,7 +135,6 @@ class CycloField:
         self.degree = len(self.modulus) - 1
         # the nonzero non-leading terms of Phi_e, all that reduction touches
         self._terms = tuple((j, c) for j, c in enumerate(self.modulus[:-1]) if c)
-        self._pows: list[tuple[int, ...]] | None = None
         self._inv_lift: dict[int, tuple[int, ...]] = {}
 
     def __repr__(self) -> str:
@@ -183,10 +182,8 @@ class CycloField:
         return self.zeta_pow(1)
 
     def zeta_pow(self, k: int) -> "CycloElem":
-        """zeta^k for any integer k, via a table of all e distinct powers."""
-        if self._pows is None:
-            self._pows = [self._reduced([0] * j + [1]).num for j in range(self.e)]
-        return CycloElem(self, self._pows[k % self.e])
+        """zeta^k for any integer k: the monomial x^(k mod e), reduced."""
+        return self._reduced([0] * (k % self.e) + [1])
 
     def inv_omega_minus_one(self, i: int) -> "CycloElem":
         """(zeta^i - 1)^{-1}; i must not be divisible by e."""

@@ -4,14 +4,15 @@ Each verifier recomputes a quantity along a structurally different path
 (cross-product jump sums instead of telescoped ones, term-by-term field
 summation instead of closed forms) and reports exact mismatches.  All
 arithmetic is exact, so any failure is a defect, never a tolerance issue.
+
+Sampling ranges are fixed; a random suite takes only a case count and a seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from .bounds import ed_p_value, ed_upper_bound, gerbe_ed_p, gerbe_ed_upper, gerbe_index
 from .core import (
@@ -148,34 +149,32 @@ def random_weights(e: int, r: int, seed: int) -> Weights:
     return _draw_weights(Lcg64(seed), e, r)
 
 
-def _draw_bundle(
-    rng: Lcg64,
-    genus_range: tuple[int, int] = (0, 5),
-    max_points: int = 3,
-    max_ram: int = 8,
-    max_rank: int = 6,
-    max_abs_degree: int = 10,
-    max_residue_degree: int = 3,
-) -> ParabolicBundle:
+def _draw_bundle(rng: Lcg64, min_genus: int = 0) -> ParabolicBundle:
     """One random bundle; draw order is part of the determinism contract:
-    genus, point count, rank, degree, then per point degree/ramification/weights."""
-    g_lo, g_hi = genus_range
-    g = g_lo + rng.below(g_hi - g_lo + 1)
-    npoints = rng.below(max_points + 1)
-    rank = 1 + rng.below(max_rank)
-    degree = rng.below(2 * max_abs_degree + 1) - max_abs_degree
+    genus (min_genus..5), point count (0..3), rank (1..6), degree (-10..10),
+    then per point residue degree (1..3), ramification (1..8) and weights."""
+    g = min_genus + rng.below(6 - min_genus)
+    npoints = rng.below(4)
+    rank = 1 + rng.below(6)
+    degree = rng.below(21) - 10
     points = []
     for _ in range(npoints):
-        f = 1 + rng.below(max_residue_degree)
-        e = 1 + rng.below(max_ram)
+        f = 1 + rng.below(3)
+        e = 1 + rng.below(8)
         w = _draw_weights(rng, e, rank)
         points.append((f, e, w.entries))
     return bundle_on(g, rank, degree, points)
 
 
-def random_bundle(seed: int, **ranges) -> ParabolicBundle:
-    """Seeded random bundle; see _draw_bundle for the draw order."""
-    return _draw_bundle(Lcg64(seed), **ranges)
+def random_bundle(seed: int) -> ParabolicBundle:
+    """Seeded random bundle; see _draw_bundle for the ranges and draw order."""
+    return _draw_bundle(Lcg64(seed))
+
+
+def _bundle_report(name: str, b: ParabolicBundle) -> VerificationReport:
+    """An empty report headed by the bundle's genus, rank, degree and point count."""
+    return VerificationReport(name, f"g={b.curve.genus} r={b.rank} d={b.degree} "
+                                    f"points={len(b.curve.points)}")
 
 
 def root_line_bundle(genus: int, e: int, i: int, residue_degree: int = 1) -> ParabolicBundle:
@@ -214,15 +213,14 @@ def verify_hom_identity(w: Weights) -> VerificationReport:
     return report
 
 
-def hom_identity_suite(count: int, seed: int, max_ram: int = 12,
-                       max_rank: int = 10) -> VerificationReport:
-    """Hom-datum identity on seeded random weights (e <= max_ram, r <= max_rank)."""
+def hom_identity_suite(count: int, seed: int) -> VerificationReport:
+    """Hom-datum identity on seeded random weights (e <= 12, r <= 10)."""
     return _sweep(
         "hom-datum-identity",
-        f"{count} random weights, e <= {max_ram}, r <= {max_rank}, seed {seed}",
+        f"{count} random weights, e <= 12, r <= 10, seed {seed}",
         count, seed,
         # draw order: e, then r, then the weights
-        lambda rng: _draw_weights(rng, 1 + rng.below(max_ram), 1 + rng.below(max_rank)),
+        lambda rng: _draw_weights(rng, 1 + rng.below(12), 1 + rng.below(10)),
         verify_hom_identity,
     )
 
@@ -285,10 +283,7 @@ def verify_chi_two_routes(bundle: ParabolicBundle) -> VerificationReport:
     equal underlying degree + (1 - g) * rank.
     """
     b = bundle
-    report = VerificationReport(
-        "chi-two-routes",
-        f"g={b.curve.genus} r={b.rank} d={b.degree} points={len(b.curve.points)}",
-    )
+    report = _bundle_report("chi-two-routes", b)
     rep = euler_char(b)
     pts = [(p.degree, p.ramification) for p in b.curve.points]
     assembled = global_term(rep.stacky_degree, b.rank, b.curve.genus, pts) + sum(
@@ -304,23 +299,21 @@ def verify_chi_two_routes(bundle: ParabolicBundle) -> VerificationReport:
     return report
 
 
-def chi_suite(count: int, seed: int, **ranges) -> VerificationReport:
+def chi_suite(count: int, seed: int) -> VerificationReport:
     """Two-route Euler characteristic check over seeded random bundles."""
     return _sweep("chi-two-routes", f"{count} random bundles, seed {seed}", count, seed,
-                  partial(_draw_bundle, **ranges), verify_chi_two_routes)
+                  _draw_bundle, verify_chi_two_routes)
 
 
-def root_line_suite(max_ram: int = 10, genera: Sequence[int] = (0, 1, 2, 5),
-                    residue_degrees: Sequence[int] = (1, 2)) -> VerificationReport:
+def root_line_suite() -> VerificationReport:
     """Root-line powers have chi = floor(i/e) * f + 1 - g; in particular
     chi = 1 - g for 0 <= i < e.  Validates the stacky/underlying degree
-    bookkeeping on the one family where both are known independently."""
-    report = VerificationReport(
-        "root-line-chi", f"0 <= i < 2e, e <= {max_ram}, g in {tuple(genera)}"
-    )
-    for g in genera:
-        for f in residue_degrees:
-            for e in range(1, max_ram + 1):
+    bookkeeping on the one family where both are known independently.
+    Fixed sizes: e <= 10, g in (0, 1, 2, 5), f in (1, 2)."""
+    report = VerificationReport("root-line-chi", "0 <= i < 2e, e <= 10, g in (0, 1, 2, 5)")
+    for g in (0, 1, 2, 5):
+        for f in (1, 2):
+            for e in range(1, 11):
                 for i in range(2 * e):
                     b = root_line_bundle(g, e, i, f)
                     rep = euler_char(b)
@@ -341,10 +334,7 @@ def verify_end_chi(bundle: ParabolicBundle) -> VerificationReport:
     bundle whose stacky degree is zero.
     """
     b = bundle
-    report = VerificationReport(
-        "end-chi-two-routes",
-        f"g={b.curve.genus} r={b.rank} d={b.degree} points={len(b.curve.points)}",
-    )
+    report = _bundle_report("end-chi-two-routes", b)
     params = f"g={b.curve.genus} r={b.rank} d={b.degree}"
     endo = end_bundle(b)
     report.check(f"{params} end-stacky-zero", Fraction(0), stacky_degree(endo))
@@ -352,10 +342,10 @@ def verify_end_chi(bundle: ParabolicBundle) -> VerificationReport:
     return report
 
 
-def end_chi_suite(count: int, seed: int, **ranges) -> VerificationReport:
+def end_chi_suite(count: int, seed: int) -> VerificationReport:
     """Two-route endomorphism chi check over seeded random bundles."""
     return _sweep("end-chi-two-routes", f"{count} random bundles, seed {seed}", count, seed,
-                  partial(_draw_bundle, **ranges), verify_end_chi)
+                  _draw_bundle, verify_end_chi)
 
 
 def verify_ed_consistency(bundle: ParabolicBundle) -> VerificationReport:
@@ -364,10 +354,7 @@ def verify_ed_consistency(bundle: ParabolicBundle) -> VerificationReport:
     The essential-dimension formulas need genus >= 2.
     """
     b = bundle
-    report = VerificationReport(
-        "ed-consistency",
-        f"g={b.curve.genus} r={b.rank} d={b.degree} points={len(b.curve.points)}",
-    )
+    report = _bundle_report("ed-consistency", b)
     upper = ed_upper_bound(b)
     h = upper.h
     params = f"g={b.curve.genus} r={b.rank} d={b.degree} h={h}"
@@ -384,11 +371,10 @@ def verify_ed_consistency(bundle: ParabolicBundle) -> VerificationReport:
     return report
 
 
-def ed_consistency_suite(count: int, seed: int, **ranges) -> VerificationReport:
-    """verify_ed_consistency over seeded random bundles of genus >= 2."""
-    ranges.setdefault("genus_range", (2, 5))
+def ed_consistency_suite(count: int, seed: int) -> VerificationReport:
+    """verify_ed_consistency over seeded random bundles of genus 2..5."""
     return _sweep("ed-consistency", f"{count} random bundles, seed {seed}, genus >= 2",
-                  count, seed, partial(_draw_bundle, **ranges), verify_ed_consistency)
+                  count, seed, lambda rng: _draw_bundle(rng, min_genus=2), verify_ed_consistency)
 
 
 def run_all(e_max: int = 12, random_count: int = 100, seed: int = 1) -> list[VerificationReport]:

@@ -50,7 +50,8 @@ def test_criterion_2_inertia_totals():
 
 
 def test_criterion_3_hom_datum_identity():
-    report = hom_identity_suite(500, seed=SEED, max_ram=12, max_rank=10)
+    report = hom_identity_suite(500, seed=SEED)
+    assert report.parameter_range == f"500 random weights, e <= 12, r <= 10, seed {SEED}"
     _line(3, "hom-datum identity, 500 random weights",
           report.passed, f" ({report.cases} checks)")
     assert report.passed, report.failures[:5]
@@ -58,9 +59,7 @@ def test_criterion_3_hom_datum_identity():
 
 
 def test_criterion_4_chi_two_routes():
-    report = chi_suite(
-        200, seed=SEED + 1, genus_range=(0, 5), max_points=3, max_ram=8
-    )
+    report = chi_suite(200, seed=SEED + 1)
     root_ok = True
     for g in range(0, 6):
         for e in range(1, 11):

@@ -290,6 +290,38 @@ def test_non_utf8_input_exits_2(tmp_path):
     assert err == "error: input is not UTF-8 text (byte 0: invalid start byte)\n"
 
 
+def test_oversized_input_exits_2(tmp_path):
+    path = tmp_path / "spaces.json"
+    path.write_text(" " * (cli.MAX_DOCUMENT_CHARS + 1))
+    code, out, err = invoke(["chi", "-i", str(path)])
+    assert (code, out, err) == (2, "", "error: input is longer than 1048576 characters\n")
+
+
+@pytest.mark.parametrize("command", ["chi", "ed-bound", "hom-datum"])
+@pytest.mark.parametrize("digits", [4001, 5000])
+def test_long_integer_literal_exits_2(tmp_path, command, digits):
+    # 5000 digits is past Python's int parsing limit; a 4001-digit rank parses there
+    # but its square could not be printed
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(CHI_DOC).replace('"rank": 2', f'"rank": 1{"0" * (digits - 1)}'))
+    code, out, err = invoke([command, "-i", str(path)])
+    assert (code, out, err) == (2, "", "error: integer literal longer than 1000 digits\n")
+
+
+def test_longest_integer_literals_print(tmp_path):
+    big = 10**999  # 1000 digits, the longest literal accepted
+    doc = {"curve": {"genus": big, "points": [{"degree": big, "ramification": 1,
+                                               "weights": [big, 0]}]},
+           "bundle": {"rank": big, "degree": -big}}
+    path = tmp_path / "longest.json"
+    path.write_text(json.dumps(doc))
+    for name, (_help, arguments, _handler) in cli.COMMANDS.items():
+        if arguments[0] is cli._INPUT:
+            extra = ["--prime", "5"] if name == "ed-p" else []
+            code, out, err = invoke([name, "-i", str(path), *extra])
+            assert code == 0 and out and err == "", (name, err)
+
+
 def test_deeply_nested_json_exits_2(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)

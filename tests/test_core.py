@@ -44,6 +44,15 @@ def test_validate_weights():
     assert validate_weights([0, 0]).rank == 0
 
 
+@pytest.mark.parametrize("entries", [[2, 1.7, 0], [2.0, 1, 0], "210", [True, False]])
+def test_validate_weights_refuses_non_integers(entries):
+    # these used to be coerced by int(): [2, 1.7, 0] became (2, 1, 0)
+    with pytest.raises(InvalidWeightsError):
+        validate_weights(entries)
+    with pytest.raises(InvalidWeightsError):
+        bundle_on(2, 2, 1, [(1, len(entries) - 1, entries)])
+
+
 def test_jumps_examples():
     assert jumps(validate_weights([2, 1, 0])) == (1, 1)
     assert jumps(validate_weights([3, 1, 0])) == (2, 1)

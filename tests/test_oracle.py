@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from parabolic import oracle
 from parabolic.core import bundle_on, validate_weights
 from parabolic.errors import InvalidArgumentError
 from parabolic.oracle import (
@@ -78,6 +79,30 @@ def test_random_bundle_deterministic_and_valid():
         assert len(a.curve.points) <= 3
 
 
+def _as_tuple(b):
+    return (b.curve.genus, b.rank, b.degree,
+            tuple((p.degree, p.ramification, p.weights.entries) for p in b.curve.points))
+
+
+def test_bundle_draws_are_pinned(monkeypatch):
+    # exact draws recorded before the sampling ranges became constants
+    assert [_as_tuple(random_bundle(seed)) for seed in (0, 1, 17, 31337)] == [
+        (1, 2, -1, ((2, 7, (2, 2, 1, 1, 0, 0, 0, 0)), (1, 7, (2, 2, 1, 1, 0, 0, 0, 0)))),
+        (4, 3, -2, ((3, 8, (3, 3, 3, 3, 2, 2, 2, 1, 0)), (3, 4, (3, 3, 3, 3, 0)),
+                    (2, 6, (3, 3, 1, 0, 0, 0, 0)))),
+        (2, 3, 3, ((3, 8, (3, 3, 2, 2, 1, 1, 1, 1, 0)), (2, 2, (3, 0, 0)),
+                   (1, 7, (3, 3, 3, 2, 2, 2, 0, 0)))),
+        (2, 5, -4, ((2, 8, (5, 4, 2, 2, 2, 2, 0, 0, 0)), (3, 3, (5, 2, 0, 0)),
+                    (1, 7, (5, 5, 5, 5, 3, 3, 2, 0)))),
+    ]
+    seen = []
+    monkeypatch.setattr(oracle, "verify_ed_consistency",
+                        lambda b: seen.append(_as_tuple(b)) or VerificationReport("x", "y"))
+    ed_consistency_suite(1, seed=3)
+    # the same draws as random_bundle(3) = (0, 5, -4, ...), but genus from 2..5
+    assert seen == [(4, 5, -4, ((1, 2, (5, 0, 0)),))]
+
+
 def test_brute_flag_dim_examples():
     assert brute_flag_dim(validate_weights([2, 1, 0])) == 1
     assert brute_flag_dim(validate_weights([9, 0])) == 0
@@ -115,8 +140,11 @@ def test_verify_chi_two_routes():
 
 
 def test_root_line_suite():
-    report = root_line_suite(max_ram=6, genera=(0, 2))
+    report = root_line_suite()
     assert report.passed
+    assert report.parameter_range == "0 <= i < 2e, e <= 10, g in (0, 1, 2, 5)"
+    # 4 genera x 2 residue degrees x sum over e <= 10 of 2e powers, 4 checks each
+    assert report.cases == 4 * 2 * 110 * 4
 
 
 def test_verify_end_chi():
