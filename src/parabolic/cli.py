@@ -24,6 +24,7 @@ payload to print; the exit code is 3 when its ``"pass"`` is false, else 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -62,6 +63,9 @@ EXIT_VERIFY = 3
 # printed product stays below Python's 4300-digit int-to-str limit
 MAX_DOCUMENT_CHARS = 1 << 20
 MAX_INT_DIGITS = 1000
+# hom-datum (behind hom-datum and end-chi) costs O(e^2) per point: about 0.2 s
+# for one point at this total
+MAX_RAMIFICATION_TOTAL = 1000
 
 
 def _require(obj: Any, key: str, where: str) -> Any:
@@ -98,11 +102,16 @@ def parse_document(obj: Any) -> tuple[ParabolicBundle, list[GradedPiece] | None]
     curve_obj = _require(obj, "curve", "document")
     bundle_obj = _require(obj, "bundle", "document")
     genus = _int_field(curve_obj, "genus", "curve")
-    points = []
+    points, ramification = [], 0
     for i, pt in enumerate(_list_field(curve_obj.get("points", []), "curve.points")):
         where = f"curve.points[{i}]"
         f = _int_field(pt, "degree", where)
         e = _int_field(pt, "ramification", where)
+        # a negative index is refused below, in this same pass
+        ramification += e
+        if ramification > MAX_RAMIFICATION_TOTAL:
+            raise InputError(
+                f"the ramification indices sum to more than {MAX_RAMIFICATION_TOTAL}")
         weights = _int_list(_require(pt, "weights", where), f"{where}.weights")
         points.append(ParabolicPoint(f, e, validate_weights(weights)))
     rank = _int_field(bundle_obj, "rank", "bundle")
@@ -268,7 +277,7 @@ def _trdeg_bound(args: argparse.Namespace) -> dict:
 
 
 def _verify(args: argparse.Namespace) -> dict:
-    # fixed ceilings bound the work: the cost grows about like e_max^3 (~16 s at 150)
+    # fixed ceilings bound the work: the cost grows a little faster than e_max^2 (~5 s at 150)
     e_max = _in_range("--e-max", args.e_max, 2, 150)
     count = _in_range("--random", args.random, 0, 100_000)
     reports = run_all(e_max=e_max, random_count=count, seed=args.seed)
@@ -341,7 +350,9 @@ def run(argv: Sequence[str], stdout: TextIO | None = None,
     stderr = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        # argparse writes --help and usage errors to sys.stdout / sys.stderr itself
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            args = parser.parse_args(list(argv))
     except SystemExit as exc:
         # argparse reports usage errors itself and exits with 2
         return EXIT_INPUT if exc.code else EXIT_OK

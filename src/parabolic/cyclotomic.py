@@ -9,11 +9,18 @@ inverse() runs extended Euclid and is off that path.  The sums multiply by
 powers of zeta as cyclic index shifts modulo x^e - 1 and reduce once at the
 end: the quotient map Q[x]/(x^e - 1) -> Q[x]/(Phi_e) is a ring
 homomorphism, so the reduced results are exact field values.
+
+The shifted lift sums run on packed words (Kronecker substitution, as in
+FLINT's bit-packed fmpz_poly): each certified lift is one Python int with a
+w-bit slot per coefficient, stored twice in a row, so a cyclic shift is one
+right shift and a column sum over all lifts is one big-int sum, unpacked
+once.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -136,6 +143,8 @@ class CycloField:
         # the nonzero non-leading terms of Phi_e, all that reduction touches
         self._terms = tuple((j, c) for j, c in enumerate(self.modulus[:-1]) if c)
         self._inv_lift: dict[int, tuple[int, ...]] = {}
+        # (slot layout, packed lift words, the d = 0 column), built on first use
+        self._packed: tuple[struct.Struct, tuple[int, ...], tuple[int, ...]] | None = None
 
     def __repr__(self) -> str:
         return f"CycloField({self.e})"
@@ -339,11 +348,38 @@ def _check_sum_domain(e: int) -> CycloField:
     return cyclo_field(e)
 
 
+def _packed_lifts(field: CycloField) -> tuple[struct.Struct, tuple[int, ...], tuple[int, ...]]:
+    """(slot layout, words, column 0); word i - 1 holds the certified lift L_i twice.
+
+    The layout is e little-endian w-bit slots, w = 16, 32 or 64 bits, so the
+    words do not depend on the host byte order.
+    """
+    if field._packed is None:
+        e = field.e
+        slots = struct.Struct(f"<{e}{'H' if e <= 256 else 'I' if e <= 65536 else 'Q'}")
+        packed = [int.from_bytes(slots.pack(*field._inv_lift_scaled(i)), "little")
+                  for i in range(1, e)]
+        column0 = slots.unpack(sum(packed).to_bytes(slots.size, "little"))
+        field._packed = (slots, tuple(p | p << (8 * slots.size) for p in packed), column0)
+    return field._packed
+
+
 def _shifted_lifts(field: CycloField, d: int) -> list[int]:
-    """Cover vector of e * sum over i = 1..e-1 of zeta^(i*d)/(zeta^i - 1)."""
+    """Cover vector of e * sum over i = 1..e-1 of zeta^(i*d)/(zeta^i - 1).
+
+    Exact on packed words: lift entries lie in [0, e), so each column sum is
+    at most (e - 1)^2 < 2^w and no carry crosses a slot; the bits above e*w
+    only ever carry upward, and the mask drops them.
+    """
     e = field.e
-    shifted = (_cyclic_shift(field._inv_lift_scaled(i), i * d) for i in range(1, e))
-    return [sum(col) for col in zip(*shifted)]
+    slots, words, column0 = _packed_lifts(field)
+    if d % e == 0:
+        return list(column0)
+    bits = 8 * slots.size // e
+    # x^(i*d) * L_i modulo x^e - 1 is the doubled word moved down (-i*d mod e) slots
+    total = sum(word >> ((-i * d) % e * bits) for i, word in enumerate(words, 1))
+    low = total & ((1 << e * bits) - 1)
+    return list(slots.unpack(low.to_bytes(slots.size, "little")))
 
 
 def geometric_sum(e: int, k: int) -> Fraction:

@@ -375,3 +375,44 @@ def test_readme_table_names_every_command():
     documented = [row.split("`")[1].split()[0] for row in rows]
     assert documented == list(cli.COMMANDS)
     assert len(documented) == 13
+
+
+def _ramified_doc(*orders):
+    # one point per order, weights [e, e-1, ..., 0]: the most jumps hom-datum can see
+    points = [{"degree": 1, "ramification": e, "weights": list(range(e, -1, -1))}
+              for e in orders]
+    return {"curve": {"genus": 2, "points": points}, "bundle": {"rank": orders[0], "degree": 1}}
+
+
+@pytest.mark.parametrize("orders", [(1001,), (600, 401), (500, 500, 1)])
+def test_ramification_total_beyond_cap_exits_2_at_once(tmp_path, orders):
+    assert sum(orders) == cli.MAX_RAMIFICATION_TOTAL + 1
+    path = tmp_path / "ramified.json"
+    path.write_text(json.dumps(_ramified_doc(*orders)))
+    for command in ("hom-datum", "end-chi", "chi"):
+        start = time.perf_counter()
+        code, out, err = invoke([command, "-i", str(path)])
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == "error: the ramification indices sum to more than 1000\n"
+
+
+def test_ramification_total_at_cap_is_accepted(tmp_path):
+    path = tmp_path / "ramified.json"
+    path.write_text(json.dumps(_ramified_doc(cli.MAX_RAMIFICATION_TOTAL)))
+    code, out, err = invoke(["hom-datum", "-i", str(path)])
+    assert code == 0 and err == ""
+    assert json.loads(out)["curve"]["points"][0]["ramification"] == 1000
+    code, out, err = invoke(["end-chi", "-i", str(path)])
+    assert code == 0 and err == ""
+
+
+def test_run_writes_argparse_output_to_its_streams(capsys):
+    code, out, err = invoke(["chi", "--bogus"])
+    assert code == 2 and out == ""
+    assert err.startswith("usage: parabolic chi")
+    assert err.endswith("error: the following arguments are required: -i/--input\n")
+    code, out, err = invoke(["--help"])
+    assert code == 0 and err == ""
+    assert out.startswith("usage: parabolic") and "verify" in out
+    assert capsys.readouterr() == ("", "")

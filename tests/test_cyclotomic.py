@@ -212,6 +212,11 @@ def test_corrupted_closed_form_is_rejected(monkeypatch):
         # a fresh field, so the shared cached tables stay untouched
         with pytest.raises(InternalInconsistencyError):
             CycloField(e).inv_omega_minus_one(i)
+        # the packed words are built from certified lifts only
+        field = CycloField(e)
+        with pytest.raises(InternalInconsistencyError):
+            cyclotomic._shifted_lifts(field, 1)
+        assert field._packed is None
 
 
 def _assert_normalised(x):
@@ -235,3 +240,39 @@ def test_elements_stay_normalised():
     assert (a - a) == f.zero() and (a - a).den == 1
     for x in (a, b, total, scaled, a * b, -a, b.inverse(), a / 3, 2 - a, f.zeta_pow(5)):
         _assert_normalised(x)
+
+
+def _reference_shifted_lifts(field, d):
+    """The column sums of the cyclically shifted lifts, one tuple at a time."""
+    e = field.e
+    shifted = (cyclotomic._cyclic_shift(field._inv_lift_scaled(i), i * d) for i in range(1, e))
+    return [sum(col) for col in zip(*shifted)]
+
+
+def test_packed_shifted_lifts_match_column_sums():
+    # e = 256 is the last order with 16-bit slots, 257 the first with 32-bit ones
+    for e in [*range(2, 61), 150, 256, 257]:
+        field = cyclo_field(e)
+        for d in range(e + 1):
+            expected = _reference_shifted_lifts(field, d)
+            assert cyclotomic._shifted_lifts(field, d) == expected, (e, d)
+
+
+@pytest.mark.parametrize("e, bits", [(60, 16), (256, 16), (257, 32)])
+def test_packed_words_hold_each_lift_twice_in_little_endian_slots(e, bits):
+    field = cyclo_field(e)
+    slots, words, column0 = cyclotomic._packed_lifts(field)
+    assert slots.size == e * bits // 8
+    for i, word in enumerate(words, 1):
+        lift = sum(c << (k * bits) for k, c in enumerate(field._inv_lift_scaled(i)))
+        assert word == lift | lift << (e * bits), (e, i)
+    assert list(column0) == _reference_shifted_lifts(field, 0)
+
+
+def test_lift_sums_match_closed_forms_at_e_150():
+    e = 150
+    assert inverse_sum(e) == Fraction(-(e - 1), 2)
+    for d in range(1, e):
+        assert ratio_sum(e, d) == e - d
+    for d in range(1, e + 1):
+        assert shifted_sum(e, d) == Fraction(e - 2 * d + 1, 2)
