@@ -12,7 +12,6 @@ from .bounds import (
     GradedPiece,
     ed_p_value,
     ed_upper_bound,
-    flag_total,
     gerbe_ed_p,
     gerbe_ed_upper,
     gerbe_index,
@@ -29,6 +28,7 @@ from .core import (
     Weights,
     bundle_on,
     flag_dim,
+    flag_total,
     hom_datum,
     jumps,
     root_line_datum,
@@ -54,7 +54,6 @@ from .errors import (
     InvalidWeightsError,
 )
 from .exact_arith import (
-    Rational,
     euler_phi,
     factorize,
     gcd_list,
@@ -89,7 +88,6 @@ __all__ = [
     "OrbifoldCurve",
     "ParabolicBundle",
     "ParabolicPoint",
-    "Rational",
     "Weights",
     "bundle_on",
     "correction_term",

@@ -8,9 +8,9 @@ h = gcd(rank, degree, interior weights).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .core import ParabolicBundle, Weights, flag_dim
+from .core import ParabolicBundle, Weights, flag_dim, flag_total
 from .errors import HypothesisViolationError, InvalidArgumentError
 from .exact_arith import factorize, gcd_list, is_prime, v_p
 
@@ -158,22 +158,22 @@ def trdeg_bound_nonsimple(genus: int, rank: int, flag_total: int) -> int:
     return (genus - 1) * (rank**2 - rank) + 2 + flag_total
 
 
-def flag_total(bundle: ParabolicBundle) -> int:
-    """Residue-degree-weighted sum of the flag dimensions at all points."""
-    return sum(p.degree * flag_dim(p.weights) for p in bundle.curve.points)
-
-
-def _ed_report(bundle: ParabolicBundle, gerbe_term: int, conjectural: bool,
-               prime: int | None = None) -> EdReport:
+def _ed_report(bundle: ParabolicBundle, gerbe_term: Callable[[int], int],
+               conjectural: bool, prime: int | None = None) -> EdReport:
+    """ED = r^2 (g - 1) + 1 + flag_total + gerbe_term(h); requires genus >= 2."""
     g = bundle.curve.genus
+    if g < 2:
+        raise HypothesisViolationError(f"ed bounds require genus >= 2, got {g}")
+    h = gerbe_index(bundle)
     base = bundle.rank**2 * (g - 1) + 1
     flags = flag_total(bundle)
+    term = gerbe_term(h)
     return EdReport(
-        h=gerbe_index(bundle),
+        h=h,
         base=base,
         flag_total=flags,
-        gerbe_term=gerbe_term,
-        total=base + flags + gerbe_term,
+        gerbe_term=term,
+        total=base + flags + term,
         conjectural=conjectural,
         prime=prime,
     )
@@ -186,23 +186,15 @@ def ed_upper_bound(bundle: ParabolicBundle) -> EdReport:
     an equality modulo an open conjecture, hence marked conjectural.
     Requires genus >= 2.
     """
-    g = bundle.curve.genus
-    if g < 2:
-        raise HypothesisViolationError(f"ed bounds require genus >= 2, got {g}")
-    h = gerbe_index(bundle)
-    return _ed_report(bundle, gerbe_ed_upper(h), conjectural=True)
+    return _ed_report(bundle, gerbe_ed_upper, conjectural=True)
 
 
 def ed_p_value(bundle: ParabolicBundle, p: int) -> EdReport:
     """Essential p-dimension of the moduli stack (an unconditional equality).
 
     r^2 (g - 1) + 1 + flag_total + p^v_p(h) - 1.  Requires genus >= 2 and
-    p prime.
+    p prime; the prime is checked first.
     """
     if not is_prime(p):
         raise InvalidArgumentError(f"ed_p_value requires a prime, got {p}")
-    g = bundle.curve.genus
-    if g < 2:
-        raise HypothesisViolationError(f"ed bounds require genus >= 2, got {g}")
-    h = gerbe_index(bundle)
-    return _ed_report(bundle, gerbe_ed_p(h, p), conjectural=False, prime=p)
+    return _ed_report(bundle, lambda h: gerbe_ed_p(h, p), conjectural=False, prime=p)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -34,7 +35,6 @@ from .bounds import (
     GradedPiece,
     ed_p_value,
     ed_upper_bound,
-    flag_total,
     gerbe_ed_p,
     gerbe_ed_upper,
     gerbe_index,
@@ -47,6 +47,7 @@ from .core import (
     ParabolicBundle,
     ParabolicPoint,
     flag_dim,
+    flag_total,
     validate_weights,
 )
 from .errors import HypothesisViolationError, InputError, InvalidArgumentError
@@ -330,6 +331,8 @@ COMMANDS: dict[str, tuple[str, tuple, Callable[[argparse.Namespace], dict]]] = {
 }
 
 
+# built once per process; argparse looks up sys.stdout/sys.stderr only when it prints
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parabolic",

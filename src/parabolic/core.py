@@ -68,6 +68,11 @@ def flag_dim(w: Weights) -> int:
     return sum(n[i] * (n[i - 1] - n[i]) for i in range(1, len(n) - 1))
 
 
+def flag_total(bundle: ParabolicBundle) -> int:
+    """Residue-degree-weighted sum of the flag dimensions at all points."""
+    return sum(p.degree * flag_dim(p.weights) for p in bundle.curve.points)
+
+
 def hom_datum(w: Weights) -> Weights:
     """Weight vector of the endomorphism bundle of a bundle with datum w.
 

@@ -9,12 +9,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
 from typing import Iterable
 
 from .errors import InvalidArgumentError
-
-Rational = Fraction
 
 # Ordered (prime, exponent) pairs with primes strictly increasing.
 PrimeFactorization = list[tuple[int, int]]
@@ -22,10 +19,7 @@ PrimeFactorization = list[tuple[int, int]]
 
 def rational_str(q: Fraction | int) -> str:
     """Render an exact rational as ``p/q``, or just ``p`` when q == 1."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return str(Fraction(q))
 
 
 # Trial division finds every prime factor below this bound.  A cofactor left
@@ -69,12 +63,8 @@ def v_p(n: int, p: int) -> int:
 
 
 def gcd_list(xs: Iterable[int]) -> int:
-    """gcd of any number of nonnegative integers.
-
-    Follows the recursion gcd(x, 0) == x, so the gcd of an empty
-    collection is 0.
-    """
-    return reduce(math.gcd, xs, 0)
+    """gcd of any number of nonnegative integers; 0 for none, as math.gcd()."""
+    return math.gcd(*xs)
 
 
 def factorize(n: int) -> PrimeFactorization:

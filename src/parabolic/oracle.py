@@ -41,7 +41,6 @@ from .riemann_roch import (
     euler_char,
     global_term,
     inertia_bundle_total,
-    stacky_degree,
 )
 
 
@@ -336,9 +335,9 @@ def verify_end_chi(bundle: ParabolicBundle) -> VerificationReport:
     b = bundle
     report = _bundle_report("end-chi-two-routes", b)
     params = f"g={b.curve.genus} r={b.rank} d={b.degree}"
-    endo = end_bundle(b)
-    report.check(f"{params} end-stacky-zero", Fraction(0), stacky_degree(endo))
-    report.check(f"{params} end-chi", end_euler_char(b), euler_char(endo).chi)
+    endo = euler_char(end_bundle(b))
+    report.check(f"{params} end-stacky-zero", Fraction(0), endo.stacky_degree)
+    report.check(f"{params} end-chi", end_euler_char(b), endo.chi)
     return report
 
 

@@ -17,7 +17,7 @@ from .core import (
     OrbifoldCurve,
     ParabolicBundle,
     ParabolicPoint,
-    flag_dim,
+    flag_total,
     hom_datum,
     jumps,
 )
@@ -61,9 +61,7 @@ def correction_term(point: ParabolicPoint) -> Fraction:
 
 def stacky_degree(bundle: ParabolicBundle) -> Fraction:
     """Degree measured on the orbifold: underlying degree plus corrections."""
-    return bundle.degree + sum(
-        (p.degree * correction_term(p) for p in bundle.curve.points), Fraction(0)
-    )
+    return euler_char(bundle).stacky_degree
 
 
 def euler_char(bundle: ParabolicBundle) -> ChiReport:
@@ -134,8 +132,4 @@ def end_euler_char(bundle: ParabolicBundle) -> Fraction:
     (1 - g) * r^2 minus the residue-degree-weighted flag dimensions; agrees
     with euler_char(end_bundle(bundle)).chi.
     """
-    g = bundle.curve.genus
-    total = Fraction((1 - g) * bundle.rank**2)
-    for p in bundle.curve.points:
-        total -= p.degree * flag_dim(p.weights)
-    return total
+    return Fraction((1 - bundle.curve.genus) * bundle.rank**2 - flag_total(bundle))

@@ -161,6 +161,9 @@ def test_ed_guards():
         ed_upper_bound(low_genus)
     with pytest.raises(HypothesisViolationError):
         ed_p_value(low_genus, 2)
+    # the prime is checked before the genus
+    with pytest.raises(InvalidArgumentError):
+        ed_p_value(low_genus, 4)
     b = bundle_on(2, 2, 0)
     with pytest.raises(InvalidArgumentError):
         ed_p_value(b, 4)

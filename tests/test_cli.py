@@ -370,6 +370,13 @@ def test_every_command_on_the_readme_example(tmp_path, command):
         assert invoke([*argv, "--format", fmt]) == (case["code"], case[fmt], "")
 
 
+def test_verify_default_output_is_pinned():
+    # stdout of a plain `parabolic verify`, recorded before the ED reports
+    # shared one path; CI compares the installed console script with it too
+    golden = (Path(__file__).resolve().parent / "data" / "verify_default.json").read_text()
+    assert invoke(["verify"]) == (0, golden, "")
+
+
 def test_readme_table_names_every_command():
     rows = [line for line in README.read_text().splitlines() if line.startswith("| `")]
     documented = [row.split("`")[1].split()[0] for row in rows]
@@ -408,11 +415,15 @@ def test_ramification_total_at_cap_is_accepted(tmp_path):
 
 
 def test_run_writes_argparse_output_to_its_streams(capsys):
-    code, out, err = invoke(["chi", "--bogus"])
-    assert code == 2 and out == ""
-    assert err.startswith("usage: parabolic chi")
-    assert err.endswith("error: the following arguments are required: -i/--input\n")
-    code, out, err = invoke(["--help"])
-    assert code == 0 and err == ""
-    assert out.startswith("usage: parabolic") and "verify" in out
+    # twice each: the parser is built once per process and must not keep
+    # the streams of an earlier call
+    for _ in range(2):
+        code, out, err = invoke(["chi", "--bogus"])
+        assert code == 2 and out == ""
+        assert err.startswith("usage: parabolic chi")
+        assert err.endswith("error: the following arguments are required: -i/--input\n")
+    for _ in range(2):
+        code, out, err = invoke(["--help"])
+        assert code == 0 and err == ""
+        assert out.startswith("usage: parabolic") and "verify" in out
     assert capsys.readouterr() == ("", "")
