@@ -2,8 +2,8 @@
 ``exact_arith.TRIAL_LIMIT``: deterministic Miller-Rabin and Pollard rho.
 
 ``exact_arith`` imports this module only when trial division leaves such a
-cofactor, and the oracle only when it checks the inertia totals, whose split
-primes it proves with ``miller_rabin``.
+cofactor, as a large ``--prime`` or ``N`` can.  ``verify`` never loads it:
+every number it tests or factors is below TRIAL_LIMIT^2.
 """
 
 from __future__ import annotations

@@ -81,12 +81,11 @@ def hom_datum(w: Weights) -> Weights:
     the part where the local action has weight d.
     """
     e = w.ramification
-    delta = jumps(w)
+    nonzero = [(i, x) for i, x in enumerate(jumps(w)) if x]
     cls = [0] * e
-    for i in range(e):
-        if delta[i]:
-            for j in range(e):
-                cls[(i - j) % e] += delta[i] * delta[j]
+    for i, x in nonzero:
+        for j, y in nonzero:
+            cls[(i - j) % e] += x * y
     m = [0] * (e + 1)
     for d in range(e - 1, -1, -1):
         m[d] = m[d + 1] + cls[d]

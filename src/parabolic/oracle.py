@@ -6,24 +6,21 @@ summation instead of closed forms, evaluation at split primes instead of
 Q(zeta_e) arithmetic) and reports exact mismatches.  All arithmetic is
 exact, so any failure is a defect, never a tolerance issue.
 
-The inertia totals use no ``cyclotomic`` arithmetic.  For each (e, d) the
-element alpha = sum_i e zeta^(id)/(1 - zeta^(-i)) - e^2 c of Z[zeta_e], with
-c the closed form under test, is mapped to F_q by zeta -> omega for primes
-q = 1 mod e, where Phi_e splits and omega has exact order e.  Each image that
-vanishes puts q into the norm of alpha, and every conjugate of alpha is at
-most ceil(e^3/4) + |e^2 c| in absolute value, so alpha = 0 once the primes
-used multiply past B_e = (ceil(e^3/4) + |e^2 c|)^phi(e).  This is the
-standard modular method with a norm bound: Washington, *Introduction to
-Cyclotomic Fields*, ch. 2 (primes q = 1 mod e split completely), and Cohen,
-*A Course in Computational Algebraic Number Theory*.
+The inertia totals use no ``cyclotomic`` arithmetic.  For each (e, d) the sum
+T = sum_i e zeta^(id)/(1 - zeta^(-i)) over 0 < i < e is fixed by every
+automorphism zeta -> zeta^k of Q(zeta_e), k prime to e, which only permutes
+the i; and each term is an algebraic integer, as 1 - zeta^j divides e.  So T
+is a rational integer, and |T| < e^3/4 because |1 - zeta^j| >= 4/e for
+0 < j < e.  At a prime q = 1 mod e, Phi_e splits and zeta -> omega, omega of
+exact order e, is a ring map Z[zeta_e] -> F_q; for q > e^3 the image of T,
+read in (-q/2, q/2), is T exactly (Washington, *Introduction to Cyclotomic
+Fields*, ch. 2).
 
 Sampling ranges are fixed; a random suite takes only a case count and a seed.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
@@ -47,8 +44,9 @@ from .cyclotomic import (
     shifted_sum,
 )
 from .errors import InvalidArgumentError
-from .exact_arith import euler_phi, factorize
+from .exact_arith import factorize, is_prime
 from .riemann_roch import (
+    ChiReport,
     end_bundle,
     end_euler_char,
     euler_char,
@@ -268,30 +266,13 @@ def verify_cyclotomic_suite(e_max: int) -> VerificationReport:
     return report
 
 
-# Every e <= 40, the inertia cap in run_all, divides this, so those e share
-# one list of split primes k * _SPLIT_BASE + 1.
-_SPLIT_BASE = math.lcm(*range(1, 41))
-
-
-def _split_prime(e: int, n: int, found: dict[int, list[tuple[int, int]]]) -> tuple[int, int]:
-    """(q, omega): the n-th (from 0) prime q = k*m + 1, k = 1, 2, ..., with
-    m = lcm(_SPLIT_BASE, e), and an omega of exact order e in F_q.
-
-    Each q is proven prime by ``bigprime.miller_rabin``.  ``found`` maps m to
-    the pairs (q, w) found so far, w of exact order m, and is extended here.
-    """
-    # imported here, not at the top: document commands never pay for it
-    from .bigprime import miller_rabin
-
-    m = math.lcm(_SPLIT_BASE, e)
-    pairs = found.setdefault(m, [])
-    while len(pairs) <= n:
-        q = (pairs[-1][0] if pairs else 1) + m
-        while not miller_rabin(q):
-            q += m
-        pairs.append((q, _root_of_unity(m, q)))
-    q, w = pairs[n]
-    return q, pow(w, m // e, q)
+def _split_prime(e: int) -> tuple[int, int]:
+    """(q, omega): the least prime q = 1 mod e above e^3, and an omega of
+    exact order e in F_q."""
+    q = e**3 + 1
+    while not is_prime(q):
+        q += e
+    return q, _root_of_unity(e, q)
 
 
 def _root_of_unity(m: int, q: int) -> int:
@@ -309,20 +290,10 @@ def _root_of_unity(m: int, q: int) -> int:
     return w
 
 
-def _inertia_bound(e: int, phi: int, scaled: int) -> int:
-    """B_e = (ceil(e^3/4) + |scaled|)^phi, for phi = phi(e) and scaled = e^2 c.
-
-    Every conjugate of sum_i e zeta^(id)/(1 - zeta^(-i)) has absolute value
-    below e^3/4, since |1 - zeta^k| >= 4/e for 0 < k < e.
-    """
-    return (-(-e**3 // 4) + abs(scaled)) ** phi
-
-
-def _inertia_images(e: int, q: int, omega: int, rows: list[list[int]]) -> list[int]:
+def _inertia_images(e: int, q: int, omega: int) -> list[int]:
     """Images of sum_i e zeta^(id)/(1 - zeta^(-i)), d = 0..e-1, under zeta -> omega in F_q.
 
-    rows[d] lists i*d mod e for 0 < i < e.  The e - 1 inverses of
-    1 - omega^(-i) share one modular inversion.
+    The e - 1 inverses of 1 - omega^(-i) share one modular inversion.
     """
     powers = [1] * e
     for j in range(1, e):
@@ -337,51 +308,25 @@ def _inertia_images(e: int, q: int, omega: int, rows: list[list[int]]) -> list[i
         scaled[i - 1] = e * inv * prefix[i - 2] % q
         inv = inv * dens[i - 1] % q
     scaled[0] = e * inv % q
-    return [sum(map(operator.mul, scaled, map(powers.__getitem__, row))) % q for row in rows]
+    return [sum(scaled[i - 1] * powers[i * d % e] for i in range(1, e)) % q for d in range(e)]
 
 
 def verify_inertia_totals(e_max: int) -> VerificationReport:
-    """The closed form c = inertia_total(e, d) = (e - 1 - 2d)/(2e), all d < e <= e_max.
+    """The closed form inertia_total(e, d) = (e - 1 - 2d)/(2e), all d < e <= e_max.
 
-    c must equal sum_i zeta^(id) / (e (1 - zeta^(-i))) over 0 < i < e, whose
-    e^2 multiple lies in Z[zeta_e].  So e^2 c must be an integer, and
-    alpha = sum_i e zeta^(id)/(1 - zeta^(-i)) - e^2 c must vanish.  alpha is
-    mapped to F_q by zeta -> omega at the split primes of ``_split_prime`` in
-    turn, and declared zero once their product passes
-    B_e = (ceil(e^3/4) + |e^2 c|)^phi(e), computed from the c under test; a
-    nonzero image is a failure.  The module docstring gives the argument and
-    the references (Washington, ch. 2; Cohen).
+    It must equal T/e^2, where T = sum_i e zeta^(id)/(1 - zeta^(-i)) over
+    0 < i < e.  T is a rational integer with |T| < e^3/4 (module docstring),
+    so its image under zeta -> omega at the prime q of ``_split_prime``, read
+    in (-q/2, q/2), is T itself.  A failure records T/e^2 as got.
     """
     if e_max < 2:
         raise InvalidArgumentError(f"verify_inertia_totals requires e_max >= 2, got {e_max}")
     report = VerificationReport("inertia-totals", f"2 <= e <= {e_max}, 0 <= d < e")
-    primes: dict[int, list[tuple[int, int]]] = {}
     for e in range(2, e_max + 1):
-        phi = euler_phi(e)
-        rows = [[i * d % e for i in range(1, e)] for d in range(e)]
-        tables: list[tuple[int, list[int]]] = []  # (q, images for every d), in prime order
-        for d in range(e):
-            expected = inertia_total(e, d)
-            scaled = Fraction(expected) * (e * e)
-            got: object = expected
-            if scaled.denominator != 1:
-                got = f"e^2 * {expected} = {scaled}, not an integer"
-            else:
-                bound = _inertia_bound(e, phi, scaled.numerator)
-                product, n = 1, 0
-                while product <= bound:
-                    if n == len(tables):
-                        q, omega = _split_prime(e, n, primes)
-                        tables.append((q, _inertia_images(e, q, omega, rows)))
-                    q, images = tables[n]
-                    if (images[d] - scaled.numerator) % q:
-                        inv = pow(e * e, -1, q)
-                        got = (f"{images[d] * inv % q} mod {q}, where {expected} "
-                               f"is {scaled.numerator * inv % q}")
-                        break
-                    product *= q
-                    n += 1
-            report.check(f"e={e} d={d}", expected, got)
+        q, omega = _split_prime(e)
+        for d, image in enumerate(_inertia_images(e, q, omega)):
+            total = image - q if 2 * image > q else image
+            report.check(f"e={e} d={d}", inertia_total(e, d), Fraction(total, e * e))
     return report
 
 
@@ -391,9 +336,12 @@ def verify_chi_two_routes(bundle: ParabolicBundle) -> VerificationReport:
     Global term plus inertia contributions must equal chi, and chi must
     equal underlying degree + (1 - g) * rank.
     """
-    b = bundle
+    return _chi_two_routes(bundle, euler_char(bundle))
+
+
+def _chi_two_routes(b: ParabolicBundle, rep: ChiReport) -> VerificationReport:
+    """verify_chi_two_routes for a bundle whose euler_char is already rep."""
     report = _bundle_report("chi-two-routes", b)
-    rep = euler_char(b)
     pts = [(p.degree, p.ramification) for p in b.curve.points]
     assembled = global_term(rep.stacky_degree, b.rank, b.curve.genus, pts) + sum(
         (p.degree * inertia_bundle_total(p) for p in b.curve.points), Fraction(0)
@@ -432,7 +380,7 @@ def root_line_suite() -> VerificationReport:
                     report.check(
                         f"{params} stacky", Fraction(i * f, e), rep.stacky_degree
                     )
-                    report.absorb(verify_chi_two_routes(b))
+                    report.absorb(_chi_two_routes(b, rep))
     return report
 
 

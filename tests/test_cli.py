@@ -388,15 +388,30 @@ def test_verify_e40_output_is_pinned():
     assert invoke(["verify", "--e-max", "40", "--random", "0"]) == (0, golden, "")
 
 
-def test_importing_the_cli_leaves_bigprime_unloaded():
-    # document commands pay for every module the CLI imports at start-up
+def _bigprime_loaded_after(statement):
+    # runs the statement in a fresh interpreter, importing this checkout's package
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    probe = "import sys, parabolic.cli; print('parabolic.bigprime' in sys.modules)"
+    probe = f"import sys, parabolic.cli; {statement}; print('parabolic.bigprime' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout == "False\n"
+    return result.stdout.splitlines()[-1] == "True"
+
+
+def test_importing_the_cli_leaves_bigprime_unloaded():
+    # document commands pay for every module the CLI imports at start-up
+    assert not _bigprime_loaded_after("pass")
+
+
+def test_verify_leaves_bigprime_unloaded():
+    # every inertia prime for e <= 40 is below 1024^2, so trial division decides it;
+    # the second call checks every e the inertia suite takes
+    assert not _bigprime_loaded_after(
+        "import io; out = io.StringIO(); "
+        "assert parabolic.cli.run(['verify'], out, out) == 0; "
+        "assert parabolic.cli.run(['verify', '--e-max', '40', '--random', '0'], out, out) == 0"
+    )
 
 
 def test_readme_table_names_every_command():

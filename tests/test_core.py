@@ -17,6 +17,7 @@ from parabolic.core import (
     validate_weights,
 )
 from parabolic.errors import InvalidArgumentError, InvalidWeightsError
+from parabolic.oracle import random_weights
 
 
 @st.composite
@@ -89,6 +90,25 @@ def test_hom_datum_examples():
     assert hom_datum(validate_weights([5, 0])).entries == (25, 0)
     assert hom_datum(validate_weights([3, 1, 0])).entries == (9, 4, 0)
     assert hom_datum(validate_weights([2, 1, 1, 0])).entries == (4, 2, 1, 0)
+
+
+def _all_pairs_hom_datum(w):
+    # the definition, over every pair of jumps (zero jumps included)
+    e, d = w.ramification, jumps(w)
+    cls = [sum(d[i] * d[j] for i in range(e) for j in range(e) if (i - j) % e == k)
+           for k in range(e)]
+    return tuple(sum(cls[k:]) for k in range(e)) + (0,)
+
+
+def test_hom_datum_matches_all_pairs():
+    # e > r leaves at least e - r zero jumps; the staircase has none
+    for seed in range(300):
+        r = 1 + seed % 6
+        w = random_weights(r + 1 + seed % 17, r, seed)
+        assert hom_datum(w).entries == _all_pairs_hom_datum(w)
+    for e in range(1, 40):
+        w = validate_weights(range(e, -1, -1))
+        assert hom_datum(w).entries == _all_pairs_hom_datum(w)
 
 
 @given(weight_vectors())

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from parabolic import cyclotomic, oracle
-from parabolic.bigprime import MR_EXACT_BOUND
 from parabolic.core import bundle_on, validate_weights
 from parabolic.errors import InvalidArgumentError
 from parabolic.oracle import (
@@ -151,12 +150,12 @@ def test_inertia_totals_use_no_field_arithmetic(monkeypatch):
     ((37, 5), lambda e, c: c + Fraction(1, 2 * e)),
     # a value whose e^2 multiple is not an integer
     ((12, 7), lambda e, c: c + Fraction(1, 3 * e * e)),
-    # far off: |e^2 c| is about 1.6e9, so the bound asks for more primes,
-    # but the first one already tells the values apart
+    # far off: |e^2 c| is about 1.6e9, far past the prime
     ((40, 39), lambda e, c: c + 10**6),
-    # off by q/e^2 for the first split prime q: alpha = -q vanishes at q, so
-    # only a bound that counts |e^2 c| goes on to a second prime and sees it
-    ((2, 0), lambda e, c: c + Fraction(oracle._split_prime(e, 0, {})[0], e * e)),
+    # off by q/e^2 for the split prime q: the same residue mod q
+    ((2, 0), lambda e, c: c + Fraction(oracle._split_prime(e)[0], e * e)),
+    # off by more than any bound on the sum
+    ((40, 0), lambda e, c: c + 10**40),
 ])
 def test_broken_inertia_closed_form_is_one_failure(monkeypatch, where, wrong):
     true_total = oracle.inertia_total
@@ -171,60 +170,37 @@ def test_broken_inertia_closed_form_is_one_failure(monkeypatch, where, wrong):
     e, d = where
     assert [f["params"] for f in report.failures] == [f"e={e} d={d}"]
     assert report.failures[0]["expected"] == str(broken(e, d))
+    assert report.failures[0]["got"] == str(true_total(e, d))
 
 
-def _proven_prime(q, m):
-    # Pocklington: m | q - 1, m > sqrt(q), and for each prime p | m some a has
-    # a^(q-1) = 1 and gcd(a^((q-1)/p) - 1, q) = 1 (independent of Miller-Rabin)
-    assert (q - 1) % m == 0 and m * m > q
-    primes, rest, p = [], m, 2
-    while rest > 1:  # m has only small prime factors
-        if rest % p == 0:
-            primes.append(p)
-            while rest % p == 0:
-                rest //= p
-        p += 1
-    return all(
-        any(pow(a, q - 1, q) == 1 and math.gcd(pow(a, (q - 1) // p, q) - 1, q) == 1
-            for a in range(2, 200))
-        for p in primes
-    )
+def _trial_division_prime(q):
+    # plain trial division, independent of exact_arith and Miller-Rabin
+    return q > 1 and all(q % p for p in range(2, math.isqrt(q) + 1))
 
 
-def _phi(n):
-    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-
-
-def test_split_primes_certify_every_e_up_to_40():
-    found = {}
-    for e in range(2, 41):
-        # the conjugates of sum_i e zeta^(id)/(1 - zeta^(-i)) stay below e^3/4
-        assert sum(e / abs(1 - cmath.exp(-2j * math.pi * i / e)) for i in range(1, e)) < e**3 / 4
-        largest = max(abs(e * (e - 1 - 2 * d)) // 2 for d in range(e))
-        bound = (-(-e**3 // 4) + largest) ** _phi(e)
-        assert oracle._inertia_bound(e, _phi(e), largest) == bound
-        assert oracle._inertia_bound(e, _phi(e), -largest) == bound
-        product, n = 1, 0
-        while product <= bound:
-            q, omega = oracle._split_prime(e, n, found)
-            assert (q - 1) % oracle._SPLIT_BASE == 0
-            assert _proven_prime(q, oracle._SPLIT_BASE), q
-            assert pow(omega, e, q) == 1
-            assert all(pow(omega, k, q) != 1 for k in range(1, e))
-            product, n = product * q, n + 1
-
-
-def test_split_primes_stay_below_the_exact_bound_up_to_150():
+def test_split_prime_for_every_e_up_to_150():
     # verify's own e cap; the inertia suite stops at 40, but the route must
-    # not reach the Miller-Rabin refusal for any e it could be given
-    found = {}
+    # work for any e it could be given
     for e in range(2, 151):
-        bound = oracle._inertia_bound(e, _phi(e), e * (e - 1) // 2)
-        product, n = 1, 0
-        while product <= bound:
-            q, _omega = oracle._split_prime(e, n, found)
-            assert q < MR_EXACT_BOUND and (q - 1) % e == 0
-            product, n = product * q, n + 1
+        q, omega = oracle._split_prime(e)
+        assert q > e**3 and q % e == 1 and _trial_division_prime(q), (e, q)
+        assert pow(omega, e, q) == 1
+        assert all(pow(omega, k, q) != 1 for k in range(1, e))
+        if e <= 40:
+            # each sum of e zeta^(id)/(1 - zeta^(-i)) is below e^3/4 < q/2
+            conj = sum(e / abs(1 - cmath.exp(-2j * math.pi * i / e)) for i in range(1, e))
+            assert conj < e**3 / 4
+
+
+def test_inertia_images_are_fixed_by_galois():
+    # zeta -> zeta^k, k prime to e, permutes the terms: every primitive root
+    # of unity gives the same images, so the sums are rational
+    for e in range(2, 41):
+        q, omega = oracle._split_prime(e)
+        images = oracle._inertia_images(e, q, omega)
+        for k in range(2, e):
+            if math.gcd(k, e) == 1:
+                assert oracle._inertia_images(e, q, pow(omega, k, q)) == images, (e, k)
 
 
 def test_verify_chi_two_routes():
@@ -235,12 +211,17 @@ def test_verify_chi_two_routes():
     assert chi_suite(50, seed=11).passed
 
 
-def test_root_line_suite():
+def test_root_line_suite(monkeypatch):
+    calls = []
+    true_euler_char = oracle.euler_char
+    monkeypatch.setattr(oracle, "euler_char", lambda b: calls.append(b) or true_euler_char(b))
     report = root_line_suite()
     assert report.passed
     assert report.parameter_range == "0 <= i < 2e, e <= 10, g in (0, 1, 2, 5)"
     # 4 genera x 2 residue degrees x sum over e <= 10 of 2e powers, 4 checks each
     assert report.cases == 4 * 2 * 110 * 4
+    # one Euler characteristic per bundle serves all four checks
+    assert len(calls) == 4 * 2 * 110
 
 
 def test_verify_end_chi():
