@@ -4,17 +4,21 @@ Elements are polynomial residues modulo the e-th cyclotomic polynomial
 Phi_e: an integer numerator vector over one positive common denominator
 (the layout of FLINT's fmpq_poly), reduced modulo the monic Phi_e in plain
 int arithmetic.  The inverses (zeta^i - 1)^-1 behind the root-of-unity sums
-come from a closed form, certified once by one multiplication; the general
-inverse() runs extended Euclid and is off that path.  The sums multiply by
-powers of zeta as cyclic index shifts modulo x^e - 1 and reduce once at the
-end: the quotient map Q[x]/(x^e - 1) -> Q[x]/(Phi_e) is a ring
+come from a closed form, all built and certified at once, before any is used;
+the general inverse() runs extended Euclid and is off that path.  The sums
+multiply by powers of zeta as cyclic index shifts modulo x^e - 1 and reduce
+once at the end: the quotient map Q[x]/(x^e - 1) -> Q[x]/(Phi_e) is a ring
 homomorphism, so the reduced results are exact field values.
 
-The shifted lift sums run on packed words (Kronecker substitution, as in
-FLINT's bit-packed fmpz_poly): each certified lift is one Python int with a
-w-bit slot per coefficient, stored twice in a row, so a cyclic shift is one
-right shift and a column sum over all lifts is one big-int sum, unpacked
-once.
+Both steps run on packed words (Kronecker substitution, as in FLINT's
+bit-packed fmpz_poly).  Each certified lift is one Python int with a slot per
+coefficient, stored twice in a row, so a cyclic shift is one right shift and
+a column sum over all lifts is one big-int sum.  The rows of a family, one
+per d, reduce in one run of the Phi_e loop on column words, word j holding
+coefficient j of every row in a signed w-bit slot.  The loop is Z-linear on
+exact ints, so only the final slots must fit: a reduced coefficient is at
+most |row|_1 * H_e, for H_e the largest |coefficient| of x^k mod Phi_e over
+k < e, and w is the least of 16, 32 and 64 bits that holds that bound.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Sequence
 
 from .errors import InternalInconsistencyError, InvalidArgumentError
 from .exact_arith import divisors, rational_str
@@ -130,8 +134,9 @@ def cyclo_field(e: int) -> "CycloField":
 class CycloField:
     """The field Q(zeta_e), presented as Q[x]/(Phi_e(x)).
 
-    Inverse lifts are memoized append-only, so a field object can be
-    shared read-only across concurrent sweeps.
+    Rows reduce together on packed words (module docstring).  The lifts and
+    the values of the root-of-unity families are built once, on first need,
+    so a field object can be shared read-only across concurrent sweeps.
     """
 
     def __init__(self, e: int):
@@ -142,9 +147,8 @@ class CycloField:
         self.degree = len(self.modulus) - 1
         # the nonzero non-leading terms of Phi_e, all that reduction touches
         self._terms = tuple((j, c) for j, c in enumerate(self.modulus[:-1]) if c)
-        self._inv_lift: dict[int, tuple[int, ...]] = {}
-        # (slot layout, packed lift words, the d = 0 column), built on first use
-        self._packed: tuple[struct.Struct, tuple[int, ...], tuple[int, ...]] | None = None
+        # (slot layout, lift words with each lift L_i twice), built on first use
+        self._packed: tuple[struct.Struct, tuple[int, ...]] | None = None
 
     def __repr__(self) -> str:
         return f"CycloField({self.e})"
@@ -174,8 +178,8 @@ class CycloField:
         den = math.lcm(*(c.denominator for c in rem))
         return self._reduced([c.numerator * (den // c.denominator) for c in rem], den)
 
-    def _reduced(self, rem: list[int], den: int = 1) -> "CycloElem":
-        """The element rem(zeta) / den; reduces the int vector rem in place."""
+    def _reduce(self, rem: list[int]) -> list[int]:
+        """rem modulo Phi_e, in place, for ints and packed column words alike."""
         deg, terms = self.degree, self._terms
         for top in range(len(rem) - 1, deg - 1, -1):
             c = rem[top]
@@ -184,8 +188,45 @@ class CycloField:
                 for j, m in terms:
                     rem[base + j] -= c * m
         del rem[deg:]
-        rem += [0] * (deg - len(rem))
-        return _normalised(self, rem, den)
+        return rem
+
+    def _reduced(self, rem: list[int], den: int = 1) -> "CycloElem":
+        """The element rem(zeta) / den; reduces the int vector rem in place."""
+        rem = self._reduce(rem)
+        return _normalised(self, rem + [0] * (self.degree - len(rem)), den)
+
+    @cached_property
+    def _height(self) -> int:
+        """H_e, by the recurrence x^(k+1) = x * x^k - top * Phi_e from x^(deg - 1)."""
+        power, height = [0] * (self.degree - 1) + [1], 1
+        for _ in range(self.e - self.degree):
+            power = self._reduce([0] + power)
+            height = max(height, *map(abs, power))
+        return height
+
+    def _reduce_rows(self, rows: Sequence[Sequence[int]]) -> tuple[Callable, list[int]]:
+        """(unpack, words): int rows of length e reduced together (module docstring)."""
+        if set(map(len, rows)) != {self.e}:
+            raise InvalidArgumentError(f"rows must be a nonempty list of length-{self.e} rows")
+        bits = (max(sum(map(abs, row)) for row in rows) * self._height).bit_length()
+        if bits > 63:
+            raise InternalInconsistencyError(f"rows of {bits}-bit values overflow 64-bit slots")
+        slots = struct.Struct(f"<{len(rows)}{'hiq'[(bits > 15) + (bits > 31)]}")
+        # bit w - 1 of every slot: a slot with it set stands for its value minus 2^w
+        mask = int.from_bytes((bytes(slots.size // len(rows) - 1) + b"\x80") * len(rows), "little")
+        words = [int.from_bytes(slots.pack(*column), "little") for column in zip(*rows)]
+
+        def unpack(word: int) -> tuple[int, ...]:
+            return slots.unpack(((word + mask) ^ mask).to_bytes(slots.size, "little"))
+
+        return unpack, self._reduce([u - ((u & mask) << 1) for u in words])
+
+    def constant_terms(self, rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+        """The values of int rows of length e, reduced together; each must be rational."""
+        unpack, words = self._reduce_rows(rows)
+        if any(words[1:]):
+            raise InternalInconsistencyError(f"a row is not rational in Q(zeta_{self.e})")
+        return unpack(words[0])
 
     def zeta(self) -> "CycloElem":
         return self.zeta_pow(1)
@@ -202,21 +243,41 @@ class CycloField:
         """e * (zeta^i - 1)^{-1} as a certified integer vector of length e.
 
         Scaled inverses are integral, which lets the identity sums below
-        accumulate in plain int arithmetic.  Each table entry is certified
-        once, when built: (x^i - 1) * lift must reduce to exactly e.
+        accumulate in plain int arithmetic.
         """
-        i %= self.e
-        lift = self._inv_lift.get(i)
-        if lift is None:
-            if i == 0:
-                raise InvalidArgumentError("zeta^i - 1 vanishes for i = 0 mod e")
-            lift = _inv_lift_closed_form(self.e, i)
-            product = [a - b for a, b in zip(_cyclic_shift(lift, i), lift)]
-            if self._reduced(product) != self.from_rational(self.e):
-                raise InternalInconsistencyError(
-                    f"closed-form (zeta^{i} - 1)^-1 is wrong in Q(zeta_{self.e})")
-            self._inv_lift[i] = lift
-        return lift
+        if i % self.e == 0:
+            raise InvalidArgumentError("zeta^i - 1 vanishes for i = 0 mod e")
+        return self._lifts[i % self.e - 1]
+
+    @cached_property
+    def _lifts(self) -> tuple[tuple[int, ...], ...]:
+        """The e - 1 lifts; each (x^i - 1) * lift must reduce to exactly e."""
+        e = self.e
+        lifts = tuple(_inv_lift_closed_form(e, i) for i in range(1, e))
+        rows = [[a - b for a, b in zip(_cyclic_shift(v, i), v)] for i, v in enumerate(lifts, 1)]
+        unpack, words = self._reduce_rows(rows)
+        if any(words[1:]) or unpack(words[0]) != (e,) * (e - 1):
+            i = next(i for i, row in enumerate(rows, 1) if self._reduced(row) != e * self.one())
+            raise InternalInconsistencyError(
+                f"closed-form (zeta^{i} - 1)^-1 is wrong in Q(zeta_{e})")
+        return lifts
+
+    @cached_property
+    def _geometric(self) -> tuple[int, ...]:
+        """Constant terms of the geometric sums, k = 0..e-1."""
+        e = self.e
+        rows = [[0] * e for _ in range(e)]
+        for k, row in enumerate(rows):
+            for i in range(1, e):
+                row[i * k % e] += 1
+        return self.constant_terms(rows)
+
+    @cached_property
+    def _shifted(self) -> tuple[int, ...]:
+        """Values of e * shifted_sum, d = 0..e, then of e * ratio_sum (S_d - S_0), 0 < d < e."""
+        rows = [_shifted_lifts(self, d) for d in range(self.e + 1)]
+        rows += [[a - b for a, b in zip(row, rows[0])] for row in rows[1:-1]]
+        return self.constant_terms(rows)
 
 
 def _normalised(field: CycloField, num: list[int], den: int) -> "CycloElem":
@@ -348,38 +409,25 @@ def _check_sum_domain(e: int) -> CycloField:
     return cyclo_field(e)
 
 
-def _packed_lifts(field: CycloField) -> tuple[struct.Struct, tuple[int, ...], tuple[int, ...]]:
-    """(slot layout, words, column 0); word i - 1 holds the certified lift L_i twice.
-
-    The layout is e little-endian w-bit slots, w = 16, 32 or 64 bits, so the
-    words do not depend on the host byte order.
-    """
-    if field._packed is None:
-        e = field.e
-        slots = struct.Struct(f"<{e}{'H' if e <= 256 else 'I' if e <= 65536 else 'Q'}")
-        packed = [int.from_bytes(slots.pack(*field._inv_lift_scaled(i)), "little")
-                  for i in range(1, e)]
-        column0 = slots.unpack(sum(packed).to_bytes(slots.size, "little"))
-        field._packed = (slots, tuple(p | p << (8 * slots.size) for p in packed), column0)
-    return field._packed
-
-
 def _shifted_lifts(field: CycloField, d: int) -> list[int]:
     """Cover vector of e * sum over i = 1..e-1 of zeta^(i*d)/(zeta^i - 1).
 
     Exact on packed words: lift entries lie in [0, e), so each column sum is
     at most (e - 1)^2 < 2^w and no carry crosses a slot; the bits above e*w
-    only ever carry upward, and the mask drops them.
+    only ever carry upward, and the mask drops them.  The slots are
+    little-endian, so the words do not depend on the host byte order.
     """
     e = field.e
-    slots, words, column0 = _packed_lifts(field)
-    if d % e == 0:
-        return list(column0)
+    if field._packed is None:
+        slots = struct.Struct(f"<{e}{'H' if e <= 256 else 'I' if e <= 65536 else 'Q'}")
+        packed = [int.from_bytes(slots.pack(*field._inv_lift_scaled(i)), "little")
+                  for i in range(1, e)]
+        field._packed = (slots, tuple(p | p << (8 * slots.size) for p in packed))
+    slots, words = field._packed
     bits = 8 * slots.size // e
     # x^(i*d) * L_i modulo x^e - 1 is the doubled word moved down (-i*d mod e) slots
     total = sum(word >> ((-i * d) % e * bits) for i, word in enumerate(words, 1))
-    low = total & ((1 << e * bits) - 1)
-    return list(slots.unpack(low.to_bytes(slots.size, "little")))
+    return list(slots.unpack((total & ((1 << e * bits) - 1)).to_bytes(slots.size, "little")))
 
 
 def geometric_sum(e: int, k: int) -> Fraction:
@@ -390,16 +438,12 @@ def geometric_sum(e: int, k: int) -> Fraction:
     field = _check_sum_domain(e)
     if not 0 <= k < e:
         raise InvalidArgumentError(f"geometric_sum requires 0 <= k < e, got k={k}")
-    acc = [0] * e
-    for i in range(1, e):
-        acc[(i * k) % e] += 1
-    return field._reduced(acc).to_rational()
+    return Fraction(field._geometric[k])
 
 
 def inverse_sum(e: int) -> Fraction:
     """Sum of 1/(zeta^i - 1) over i = 1..e-1; equals -(e-1)/2."""
-    field = _check_sum_domain(e)
-    return field._reduced(_shifted_lifts(field, 0), e).to_rational()
+    return Fraction(_check_sum_domain(e)._shifted[0], e)
 
 
 def ratio_sum(e: int, d: int) -> Fraction:
@@ -407,8 +451,7 @@ def ratio_sum(e: int, d: int) -> Fraction:
     field = _check_sum_domain(e)
     if not 0 < d < e:
         raise InvalidArgumentError(f"ratio_sum requires 0 < d < e, got d={d}")
-    acc = [a - b for a, b in zip(_shifted_lifts(field, d), _shifted_lifts(field, 0))]
-    return field._reduced(acc, e).to_rational()
+    return Fraction(field._shifted[e + d], e)
 
 
 def shifted_sum(e: int, d: int) -> Fraction:
@@ -416,7 +459,7 @@ def shifted_sum(e: int, d: int) -> Fraction:
     field = _check_sum_domain(e)
     if not 0 < d <= e:
         raise InvalidArgumentError(f"shifted_sum requires 0 < d <= e, got d={d}")
-    return field._reduced(_shifted_lifts(field, d), e).to_rational()
+    return Fraction(field._shifted[d], e)
 
 
 def inertia_term(e: int, d: int, i: int) -> CycloElem:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from parabolic import cyclotomic, oracle
+from parabolic import bounds, cyclotomic, exact_arith, oracle
 from parabolic.core import bundle_on, validate_weights
 from parabolic.errors import InvalidArgumentError
 from parabolic.oracle import (
@@ -140,6 +140,7 @@ def test_inertia_totals_use_no_field_arithmetic(monkeypatch):
 
     monkeypatch.setattr(cyclotomic, "cyclo_field", refuse)
     monkeypatch.setattr(cyclotomic.CycloField, "_reduced", refuse)
+    monkeypatch.setattr(cyclotomic.CycloField, "_reduce", refuse)
     monkeypatch.setattr(oracle, "cyclo_field", refuse)
     report = verify_inertia_totals(12)
     assert report.passed and report.cases == sum(range(2, 13))
@@ -236,6 +237,17 @@ def test_ed_consistency_suite():
     # h = 12: one ed_p<=ed and one gerbe-term check for p = 2 and p = 3, then gerbe-sum and h
     single = verify_ed_consistency(bundle_on(2, 12, 24, [(1, 2, [12, 12, 0])]))
     assert single.passed and single.cases == 6
+
+
+def test_ed_consistency_does_not_share_factorize_with_the_bounds(monkeypatch):
+    def drop_largest_prime(n):
+        return exact_arith.factorize(n)[:-1]
+
+    monkeypatch.setattr(bounds, "factorize", drop_largest_prime)
+    monkeypatch.setattr(oracle, "factorize", drop_largest_prime)
+    report = ed_consistency_suite(50, seed=17)
+    assert not report.passed
+    assert any("gerbe-sum" in f["params"] for f in report.failures)
 
 
 def test_sweep_merges_one_failing_draw():
