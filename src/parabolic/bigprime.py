@@ -2,8 +2,8 @@
 ``exact_arith.TRIAL_LIMIT``: deterministic Miller-Rabin and Pollard rho.
 
 ``exact_arith`` imports this module only when trial division leaves such a
-cofactor, as a large ``--prime`` or ``N`` can.  ``verify`` never loads it:
-every number it tests or factors is below TRIAL_LIMIT^2.
+cofactor, as a large ``--prime`` or ``N`` can.  ``verify`` loads it only
+from ``--e-max 102`` on, where its split primes q > e^3 pass TRIAL_LIMIT^2.
 """
 
 from __future__ import annotations

@@ -3,32 +3,24 @@
 Elements are polynomial residues modulo the e-th cyclotomic polynomial
 Phi_e: an integer numerator vector over one positive common denominator
 (the layout of FLINT's fmpq_poly), reduced modulo the monic Phi_e in plain
-int arithmetic.  The inverses (zeta^i - 1)^-1 behind the root-of-unity sums
-come from a closed form, all built and certified at once, before any is used;
-the general inverse() runs extended Euclid and is off that path.  The sums
-multiply by powers of zeta as cyclic index shifts modulo x^e - 1 and reduce
-once at the end: the quotient map Q[x]/(x^e - 1) -> Q[x]/(Phi_e) is a ring
-homomorphism, so the reduced results are exact field values.
+int arithmetic.  The inverses (zeta^i - 1)^-1 come from a closed form, all
+built and certified at once, before any is used; the general inverse() runs
+extended Euclid and is off that path.  An inertia term multiplies a lift by a
+power of zeta as a cyclic index shift modulo x^e - 1 and reduces once at the
+end: the quotient map Q[x]/(x^e - 1) -> Q[x]/(Phi_e) is a ring homomorphism,
+so the reduced result is an exact field value.
 
-Both steps run on packed words (Kronecker substitution, as in FLINT's
-bit-packed fmpz_poly).  Each certified lift is one Python int with a slot per
-coefficient, stored twice in a row, so a cyclic shift is one right shift and
-a column sum over all lifts is one big-int sum.  The rows of a family, one
-per d, reduce in one run of the Phi_e loop on column words, word j holding
-coefficient j of every row in a signed w-bit slot.  The loop is Z-linear on
-exact ints, so only the final slots must fit: a reduced coefficient is at
-most |row|_1 * H_e, for H_e the largest |coefficient| of x^k mod Phi_e over
-k < e, and w is the least of 16, 32 and 64 bits that holds that bound.
+The root-of-unity sums are closed forms.  ``oracle`` checks each of them
+against the exact value of its sum, recovered at one split prime.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InternalInconsistencyError, InvalidArgumentError
 from .exact_arith import divisors, rational_str
@@ -134,9 +126,8 @@ def cyclo_field(e: int) -> "CycloField":
 class CycloField:
     """The field Q(zeta_e), presented as Q[x]/(Phi_e(x)).
 
-    Rows reduce together on packed words (module docstring).  The lifts and
-    the values of the root-of-unity families are built once, on first need,
-    so a field object can be shared read-only across concurrent sweeps.
+    The table of (zeta^i - 1)^-1 lifts is built and certified once, on first
+    need, so a field object can be shared read-only across concurrent sweeps.
     """
 
     def __init__(self, e: int):
@@ -147,8 +138,6 @@ class CycloField:
         self.degree = len(self.modulus) - 1
         # the nonzero non-leading terms of Phi_e, all that reduction touches
         self._terms = tuple((j, c) for j, c in enumerate(self.modulus[:-1]) if c)
-        # (slot layout, lift words with each lift L_i twice), built on first use
-        self._packed: tuple[struct.Struct, tuple[int, ...]] | None = None
 
     def __repr__(self) -> str:
         return f"CycloField({self.e})"
@@ -178,8 +167,8 @@ class CycloField:
         den = math.lcm(*(c.denominator for c in rem))
         return self._reduced([c.numerator * (den // c.denominator) for c in rem], den)
 
-    def _reduce(self, rem: list[int]) -> list[int]:
-        """rem modulo Phi_e, in place, for ints and packed column words alike."""
+    def _reduced(self, rem: list[int], den: int = 1) -> "CycloElem":
+        """The element rem(zeta) / den; reduces the int vector rem in place."""
         deg, terms = self.degree, self._terms
         for top in range(len(rem) - 1, deg - 1, -1):
             c = rem[top]
@@ -188,45 +177,7 @@ class CycloField:
                 for j, m in terms:
                     rem[base + j] -= c * m
         del rem[deg:]
-        return rem
-
-    def _reduced(self, rem: list[int], den: int = 1) -> "CycloElem":
-        """The element rem(zeta) / den; reduces the int vector rem in place."""
-        rem = self._reduce(rem)
-        return _normalised(self, rem + [0] * (self.degree - len(rem)), den)
-
-    @cached_property
-    def _height(self) -> int:
-        """H_e, by the recurrence x^(k+1) = x * x^k - top * Phi_e from x^(deg - 1)."""
-        power, height = [0] * (self.degree - 1) + [1], 1
-        for _ in range(self.e - self.degree):
-            power = self._reduce([0] + power)
-            height = max(height, *map(abs, power))
-        return height
-
-    def _reduce_rows(self, rows: Sequence[Sequence[int]]) -> tuple[Callable, list[int]]:
-        """(unpack, words): int rows of length e reduced together (module docstring)."""
-        if set(map(len, rows)) != {self.e}:
-            raise InvalidArgumentError(f"rows must be a nonempty list of length-{self.e} rows")
-        bits = (max(sum(map(abs, row)) for row in rows) * self._height).bit_length()
-        if bits > 63:
-            raise InternalInconsistencyError(f"rows of {bits}-bit values overflow 64-bit slots")
-        slots = struct.Struct(f"<{len(rows)}{'hiq'[(bits > 15) + (bits > 31)]}")
-        # bit w - 1 of every slot: a slot with it set stands for its value minus 2^w
-        mask = int.from_bytes((bytes(slots.size // len(rows) - 1) + b"\x80") * len(rows), "little")
-        words = [int.from_bytes(slots.pack(*column), "little") for column in zip(*rows)]
-
-        def unpack(word: int) -> tuple[int, ...]:
-            return slots.unpack(((word + mask) ^ mask).to_bytes(slots.size, "little"))
-
-        return unpack, self._reduce([u - ((u & mask) << 1) for u in words])
-
-    def constant_terms(self, rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-        """The values of int rows of length e, reduced together; each must be rational."""
-        unpack, words = self._reduce_rows(rows)
-        if any(words[1:]):
-            raise InternalInconsistencyError(f"a row is not rational in Q(zeta_{self.e})")
-        return unpack(words[0])
+        return _normalised(self, rem + [0] * (deg - len(rem)), den)
 
     def zeta(self) -> "CycloElem":
         return self.zeta_pow(1)
@@ -242,8 +193,8 @@ class CycloField:
     def _inv_lift_scaled(self, i: int) -> tuple[int, ...]:
         """e * (zeta^i - 1)^{-1} as a certified integer vector of length e.
 
-        Scaled inverses are integral, which lets the identity sums below
-        accumulate in plain int arithmetic.
+        Scaled inverses are integral, which lets inertia_term shift and
+        reduce them in plain int arithmetic.
         """
         if i % self.e == 0:
             raise InvalidArgumentError("zeta^i - 1 vanishes for i = 0 mod e")
@@ -254,30 +205,11 @@ class CycloField:
         """The e - 1 lifts; each (x^i - 1) * lift must reduce to exactly e."""
         e = self.e
         lifts = tuple(_inv_lift_closed_form(e, i) for i in range(1, e))
-        rows = [[a - b for a, b in zip(_cyclic_shift(v, i), v)] for i, v in enumerate(lifts, 1)]
-        unpack, words = self._reduce_rows(rows)
-        if any(words[1:]) or unpack(words[0]) != (e,) * (e - 1):
-            i = next(i for i, row in enumerate(rows, 1) if self._reduced(row) != e * self.one())
-            raise InternalInconsistencyError(
-                f"closed-form (zeta^{i} - 1)^-1 is wrong in Q(zeta_{e})")
+        for i, v in enumerate(lifts, 1):
+            if self._reduced([a - b for a, b in zip(_cyclic_shift(v, i), v)]) != e * self.one():
+                raise InternalInconsistencyError(
+                    f"closed-form (zeta^{i} - 1)^-1 is wrong in Q(zeta_{e})")
         return lifts
-
-    @cached_property
-    def _geometric(self) -> tuple[int, ...]:
-        """Constant terms of the geometric sums, k = 0..e-1."""
-        e = self.e
-        rows = [[0] * e for _ in range(e)]
-        for k, row in enumerate(rows):
-            for i in range(1, e):
-                row[i * k % e] += 1
-        return self.constant_terms(rows)
-
-    @cached_property
-    def _shifted(self) -> tuple[int, ...]:
-        """Values of e * shifted_sum, d = 0..e, then of e * ratio_sum (S_d - S_0), 0 < d < e."""
-        rows = [_shifted_lifts(self, d) for d in range(self.e + 1)]
-        rows += [[a - b for a, b in zip(row, rows[0])] for row in rows[1:-1]]
-        return self.constant_terms(rows)
 
 
 def _normalised(field: CycloField, num: list[int], den: int) -> "CycloElem":
@@ -403,63 +335,39 @@ def _cyclic_shift(vec: tuple[int, ...], k: int) -> tuple[int, ...]:
     return vec[-k:] + vec[:-k] if k else vec
 
 
-def _check_sum_domain(e: int) -> CycloField:
+def _check_sum_domain(e: int) -> None:
     if e < 2:
         raise InvalidArgumentError(f"root-of-unity sums require e >= 2, got {e}")
-    return cyclo_field(e)
-
-
-def _shifted_lifts(field: CycloField, d: int) -> list[int]:
-    """Cover vector of e * sum over i = 1..e-1 of zeta^(i*d)/(zeta^i - 1).
-
-    Exact on packed words: lift entries lie in [0, e), so each column sum is
-    at most (e - 1)^2 < 2^w and no carry crosses a slot; the bits above e*w
-    only ever carry upward, and the mask drops them.  The slots are
-    little-endian, so the words do not depend on the host byte order.
-    """
-    e = field.e
-    if field._packed is None:
-        slots = struct.Struct(f"<{e}{'H' if e <= 256 else 'I' if e <= 65536 else 'Q'}")
-        packed = [int.from_bytes(slots.pack(*field._inv_lift_scaled(i)), "little")
-                  for i in range(1, e)]
-        field._packed = (slots, tuple(p | p << (8 * slots.size) for p in packed))
-    slots, words = field._packed
-    bits = 8 * slots.size // e
-    # x^(i*d) * L_i modulo x^e - 1 is the doubled word moved down (-i*d mod e) slots
-    total = sum(word >> ((-i * d) % e * bits) for i, word in enumerate(words, 1))
-    return list(slots.unpack((total & ((1 << e * bits) - 1)).to_bytes(slots.size, "little")))
 
 
 def geometric_sum(e: int, k: int) -> Fraction:
-    """Sum of zeta^(i*k) over i = 1..e-1, as an exact rational.
-
-    Equals e - 1 when k == 0 and -1 for 0 < k < e.
-    """
-    field = _check_sum_domain(e)
+    """Closed form e - 1 at k = 0, else -1, for the sum of zeta^(i*k) over i = 1..e-1."""
+    _check_sum_domain(e)
     if not 0 <= k < e:
         raise InvalidArgumentError(f"geometric_sum requires 0 <= k < e, got k={k}")
-    return Fraction(field._geometric[k])
+    return Fraction(e - 1 if k == 0 else -1)
 
 
 def inverse_sum(e: int) -> Fraction:
-    """Sum of 1/(zeta^i - 1) over i = 1..e-1; equals -(e-1)/2."""
-    return Fraction(_check_sum_domain(e)._shifted[0], e)
+    """Closed form -(e - 1)/2 for the sum of 1/(zeta^i - 1) over i = 1..e-1."""
+    _check_sum_domain(e)
+    return Fraction(1 - e, 2)
 
 
 def ratio_sum(e: int, d: int) -> Fraction:
-    """Sum of (zeta^(i*d) - 1)/(zeta^i - 1) over i = 1..e-1; equals e - d."""
-    field = _check_sum_domain(e)
+    """Closed form e - d for the sum of (zeta^(i*d) - 1)/(zeta^i - 1) over i = 1..e-1."""
+    _check_sum_domain(e)
     if not 0 < d < e:
         raise InvalidArgumentError(f"ratio_sum requires 0 < d < e, got d={d}")
-    return Fraction(field._shifted[e + d], e)
+    return Fraction(e - d)
 
 
 def shifted_sum(e: int, d: int) -> Fraction:
-    """Sum of zeta^(i*d)/(zeta^i - 1) over i = 1..e-1; equals (e - 2d + 1)/2."""
-    field = _check_sum_domain(e)
+    """Closed form (e - 2d + 1)/2 for the sum of zeta^(i*d)/(zeta^i - 1) over i = 1..e-1."""
+    _check_sum_domain(e)
     if not 0 < d <= e:
         raise InvalidArgumentError(f"shifted_sum requires 0 < d <= e, got d={d}")
-    return Fraction(field._shifted[d], e)
+    return Fraction(e - 2 * d + 1, 2)
 
 
 def inertia_term(e: int, d: int, i: int) -> CycloElem:
@@ -468,13 +376,14 @@ def inertia_term(e: int, d: int, i: int) -> CycloElem:
     One inertia-component contribution; i = 0 mod e is rejected because the
     denominator vanishes there.
     """
-    field = _check_sum_domain(e)
+    _check_sum_domain(e)
     if i % e == 0:
         raise InvalidArgumentError("inertia_term: 1 - zeta^(-i) vanishes for i = 0 mod e")
     if not 0 < i < e:
         raise InvalidArgumentError(f"inertia_term requires 0 < i < e, got i={i}")
     if not 0 <= d < e:
         raise InvalidArgumentError(f"inertia_term requires 0 <= d < e, got d={d}")
+    field = cyclo_field(e)
     # 1/(1 - zeta^(-i)) == -(zeta^(e-i) - 1)^(-1)
     scaled = field._inv_lift_scaled(e - i)
     return field._reduced(list(_cyclic_shift(scaled, i * d)), -e * e)

@@ -1,20 +1,22 @@
 """Brute-force second routes and seeded generators for every closed form.
 
 Each verifier recomputes a quantity along a structurally different path
-(cross-product jump sums instead of telescoped ones, term-by-term field
-summation instead of closed forms, evaluation at split primes instead of
-Q(zeta_e) arithmetic) and reports exact mismatches.  All arithmetic is
-exact, so any failure is a defect, never a tolerance issue.
+(cross-product jump sums instead of telescoped ones, exact sums recovered at
+a split prime instead of closed forms) and reports exact mismatches.  All
+arithmetic is exact, so any failure is a defect, never a tolerance issue.
 
-The inertia totals use no ``cyclotomic`` arithmetic.  For each (e, d) the sum
-T = sum_i e zeta^(id)/(1 - zeta^(-i)) over 0 < i < e is fixed by every
-automorphism zeta -> zeta^k of Q(zeta_e), k prime to e, which only permutes
-the i; and each term is an algebraic integer, as 1 - zeta^j divides e.  So T
-is a rational integer, and |T| < e^3/4 because |1 - zeta^j| >= 4/e for
-0 < j < e.  At a prime q = 1 mod e, Phi_e splits and zeta -> omega, omega of
-exact order e, is a ring map Z[zeta_e] -> F_q; for q > e^3 the image of T,
-read in (-q/2, q/2), is T exactly (Washington, *Introduction to Cyclotomic
-Fields*, ch. 2).
+The root-of-unity sums and the inertia totals use no ``cyclotomic``
+arithmetic.  Each closed form is compared with a rational multiple of
+E_d = sum_i e zeta^(id)/(zeta^i - 1) or G_d = sum_i zeta^(id), d = 0..e-1.
+Both sums run over all 0 < i < e, so they are fixed by every automorphism
+zeta -> zeta^k of Q(zeta_e), k prime to e, which only permutes the i; and
+each of their terms is an algebraic integer, as zeta^j - 1 divides e.  So
+E_d and G_d are rational integers, with |E_d| < e^3/4 because
+|zeta^j - 1| >= 4/e for 0 < j < e, and |G_d| < e.  At a prime q = 1 mod e,
+Phi_e splits and zeta -> omega, omega of exact order e, is a ring map
+Z[zeta_e] -> F_q; for q > e^3 the image of E_d or G_d, read in (-q/2, q/2),
+is its value exactly (Washington, *Introduction to Cyclotomic Fields*,
+ch. 2).
 
 Sampling ranges are fixed; a random suite takes only a case count and a seed.
 """
@@ -36,7 +38,6 @@ from .core import (
     root_line_datum,
 )
 from .cyclotomic import (
-    cyclo_field,
     geometric_sum,
     inertia_total,
     inverse_sum,
@@ -236,35 +237,28 @@ def hom_identity_suite(count: int, seed: int) -> VerificationReport:
 
 
 def verify_cyclotomic_suite(e_max: int) -> VerificationReport:
-    """All root-of-unity identities for 2 <= e <= e_max, exact equality.
+    """Every root-of-unity closed form for 2 <= e <= e_max, against its exact sum.
 
-    Field sums (geometric, inverse, ratio, shifted) against their closed
-    forms; the ratio sums additionally against telescoped power sums, which
-    use no division at all.
+    The sums come from E_d and G_k at the prime of ``_split_prime`` (module
+    docstring).  The ratio sums are checked twice: as (E_d - E_0)/e, and as
+    the telescoped sum of G_t over t < d, which uses no division.
     """
     if e_max < 2:
         raise InvalidArgumentError(f"verify_cyclotomic_suite requires e_max >= 2, got {e_max}")
     report = VerificationReport("cyclotomic-identities", f"2 <= e <= {e_max}")
     for e in range(2, e_max + 1):
-        field_e = cyclo_field(e)
+        shifted, geometric = _sum_images(e, *_split_prime(e))
         for k in range(e):
-            expected = Fraction(e - 1 if k == 0 else -1)
-            report.check(f"geometric e={e} k={k}", expected, geometric_sum(e, k))
-        report.check(f"inverse e={e}", Fraction(-(e - 1), 2), inverse_sum(e))
-        # telescoped route: running power-count vectors, reduced together
-        counts, rows = [0] * e, []
+            report.check(f"geometric e={e} k={k}", geometric_sum(e, k), Fraction(geometric[k]))
+        report.check(f"inverse e={e}", inverse_sum(e), Fraction(shifted[0], e))
+        telescoped = 0
         for d in range(1, e):
-            for i in range(1, e):
-                counts[(i * (d - 1)) % e] += 1
-            rows.append(list(counts))
-        telescoped = field_e.constant_terms(rows)
-        for d in range(1, e):
-            report.check(f"ratio e={e} d={d}", Fraction(e - d), ratio_sum(e, d))
-            report.check(f"telescoped e={e} d={d}", Fraction(e - d), Fraction(telescoped[d - 1]))
+            telescoped += geometric[d - 1]
+            ratio = ratio_sum(e, d)
+            report.check(f"ratio e={e} d={d}", ratio, Fraction(shifted[d] - shifted[0], e))
+            report.check(f"telescoped e={e} d={d}", ratio, Fraction(telescoped))
         for d in range(1, e + 1):
-            report.check(
-                f"shifted e={e} d={d}", Fraction(e - 2 * d + 1, 2), shifted_sum(e, d)
-            )
+            report.check(f"shifted e={e} d={d}", shifted_sum(e, d), Fraction(shifted[d % e], e))
     return report
 
 
@@ -292,43 +286,34 @@ def _root_of_unity(m: int, q: int) -> int:
     return w
 
 
-def _inertia_images(e: int, q: int, omega: int) -> list[int]:
-    """Images of sum_i e zeta^(id)/(1 - zeta^(-i)), d = 0..e-1, under zeta -> omega in F_q.
-
-    The e - 1 inverses of 1 - omega^(-i) share one modular inversion.
-    """
+def _sum_images(e: int, q: int, omega: int) -> tuple[list[int], list[int]]:
+    """(E, G): the images of E_d = sum_i e zeta^(id)/(zeta^i - 1) and of
+    G_d = sum_i zeta^(id), d = 0..e-1, under zeta -> omega in F_q, each read
+    in (-q/2, q/2)."""
     powers = [1] * e
     for j in range(1, e):
         powers[j] = powers[j - 1] * omega % q
-    dens = [1 - powers[e - i] for i in range(1, e)]
-    prefix = [dens[0] % q]
-    for x in dens[1:]:
-        prefix.append(prefix[-1] * x % q)
-    inv = pow(prefix[-1], -1, q)
-    scaled = [0] * (e - 1)  # scaled[i - 1] = e / (1 - omega^(-i))
-    for i in range(e - 1, 1, -1):
-        scaled[i - 1] = e * inv * prefix[i - 2] % q
-        inv = inv * dens[i - 1] % q
-    scaled[0] = e * inv % q
-    return [sum(scaled[i - 1] * powers[i * d % e] for i in range(1, e)) % q for d in range(e)]
+    scaled = [e * pow(powers[i] - 1, -1, q) for i in range(1, e)]  # e/(omega^i - 1)
+    images = ([sum(s * powers[i * d % e] for i, s in enumerate(scaled, 1)) % q for d in range(e)],
+              [sum(powers[i * d % e] for i in range(1, e)) % q for d in range(e)])
+    return tuple([x - q if 2 * x > q else x for x in row] for row in images)
 
 
 def verify_inertia_totals(e_max: int) -> VerificationReport:
     """The closed form inertia_total(e, d) = (e - 1 - 2d)/(2e), all d < e <= e_max.
 
     It must equal T/e^2, where T = sum_i e zeta^(id)/(1 - zeta^(-i)) over
-    0 < i < e.  T is a rational integer with |T| < e^3/4 (module docstring),
-    so its image under zeta -> omega at the prime q of ``_split_prime``, read
-    in (-q/2, q/2), is T itself.  A failure records T/e^2 as got.
+    0 < i < e.  As zeta^(id)/(1 - zeta^(-i)) = zeta^(i(d+1))/(zeta^i - 1),
+    T is E_(d+1 mod e), read off at the prime of ``_split_prime`` (module
+    docstring).  A failure records T/e^2 as got.
     """
     if e_max < 2:
         raise InvalidArgumentError(f"verify_inertia_totals requires e_max >= 2, got {e_max}")
     report = VerificationReport("inertia-totals", f"2 <= e <= {e_max}, 0 <= d < e")
     for e in range(2, e_max + 1):
-        q, omega = _split_prime(e)
-        for d, image in enumerate(_inertia_images(e, q, omega)):
-            total = image - q if 2 * image > q else image
-            report.check(f"e={e} d={d}", inertia_total(e, d), Fraction(total, e * e))
+        shifted, _ = _sum_images(e, *_split_prime(e))
+        for d in range(e):
+            report.check(f"e={e} d={d}", inertia_total(e, d), Fraction(shifted[(d + 1) % e], e * e))
     return report
 
 

@@ -388,6 +388,14 @@ def test_verify_e40_output_is_pinned():
     assert invoke(["verify", "--e-max", "40", "--random", "0"]) == (0, golden, "")
 
 
+def test_verify_e60_output_is_pinned():
+    # stdout of `parabolic verify --e-max 60`, the README example, recorded
+    # before the root-of-unity sums moved from Q(zeta_e) tables to split
+    # primes; CI compares the installed console script with it too
+    golden = (Path(__file__).resolve().parent / "data" / "verify_e60.json").read_text()
+    assert invoke(["verify", "--e-max", "60"]) == (0, golden, "")
+
+
 def _bigprime_loaded_after(statement):
     # runs the statement in a fresh interpreter, importing this checkout's package
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -405,12 +413,13 @@ def test_importing_the_cli_leaves_bigprime_unloaded():
 
 
 def test_verify_leaves_bigprime_unloaded():
-    # every inertia prime for e <= 40 is below 1024^2, so trial division decides it;
-    # the second call checks every e the inertia suite takes
+    # every split prime for e <= 101 is below 1024^2, so trial division decides it;
+    # from e = 102 on, q > e^3 passes 2^20 and Miller-Rabin runs
     assert not _bigprime_loaded_after(
         "import io; out = io.StringIO(); "
         "assert parabolic.cli.run(['verify'], out, out) == 0; "
-        "assert parabolic.cli.run(['verify', '--e-max', '40', '--random', '0'], out, out) == 0"
+        "assert parabolic.cli.run(['verify', '--e-max', '40', '--random', '0'], out, out) == 0; "
+        "assert parabolic.cli.run(['verify', '--e-max', '101', '--random', '0'], out, out) == 0"
     )
 
 

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 from math import gcd
 
@@ -213,22 +212,15 @@ def test_corrupted_closed_form_is_rejected(monkeypatch):
         # a fresh field, so the shared cached tables stay untouched
         with pytest.raises(InternalInconsistencyError):
             CycloField(e).inv_omega_minus_one(i)
-        # the packed words are built from certified lifts only
-        field = CycloField(e)
-        with pytest.raises(InternalInconsistencyError):
-            cyclotomic._shifted_lifts(field, 1)
-        assert field._packed is None
     # one bad lift fails the whole table before any lift is used, and is named;
     # its product e + x^6 - x^3 keeps the constant term e in Q(zeta_30)
     bad = 3
     monkeypatch.setattr(cyclotomic, "_inv_lift_closed_form",
                         lambda e, i: off_by_one(e, i) if i == bad else exact(e, i))
     field = CycloField(30)
-    for use in (lambda: field.inv_omega_minus_one(1), lambda: field._shifted):
-        with pytest.raises(InternalInconsistencyError, match=rf"\(zeta\^{bad} - 1\)\^-1 is wrong"):
-            use()
-    assert field._packed is None
-    assert not {"_lifts", "_geometric", "_shifted"} & vars(field).keys()
+    with pytest.raises(InternalInconsistencyError, match=rf"\(zeta\^{bad} - 1\)\^-1 is wrong"):
+        field.inv_omega_minus_one(1)
+    assert "_lifts" not in vars(field)
 
 
 def _assert_normalised(x):
@@ -254,84 +246,22 @@ def test_elements_stay_normalised():
         _assert_normalised(x)
 
 
-def _reference_shifted_lifts(field, d):
-    """The column sums of the cyclically shifted lifts, one tuple at a time."""
-    e = field.e
-    shifted = (cyclotomic._cyclic_shift(field._inv_lift_scaled(i), i * d) for i in range(1, e))
-    return [sum(col) for col in zip(*shifted)]
+def test_field_sums_match_closed_forms():
+    # the reference route: every sum term by term in Q(zeta_e) arithmetic
+    for e in range(2, 37):
+        f = cyclo_field(e)
+        zeta = [f.zeta_pow(k) for k in range(e)]
+        inv = {i: f.inv_omega_minus_one(i) for i in range(1, e)}
 
+        def total(term):
+            return sum((term(i) for i in range(1, e)), f.zero())
 
-def test_packed_shifted_lifts_match_column_sums():
-    # e = 256 is the last order with 16-bit slots, 257 the first with 32-bit ones
-    for e in [*range(2, 61), 150, 256, 257]:
-        field = cyclo_field(e)
-        for d in range(e + 1):
-            expected = _reference_shifted_lifts(field, d)
-            assert cyclotomic._shifted_lifts(field, d) == expected, (e, d)
-
-
-@pytest.mark.parametrize("e, bits", [(60, 16), (256, 16), (257, 32)])
-def test_packed_words_hold_each_lift_twice_in_little_endian_slots(e, bits):
-    field = cyclo_field(e)
-    cyclotomic._shifted_lifts(field, 0)
-    slots, words = field._packed
-    assert slots.size == e * bits // 8
-    for i, word in enumerate(words, 1):
-        lift = sum(c << (k * bits) for k, c in enumerate(field._inv_lift_scaled(i)))
-        assert word == lift | lift << (e * bits), (e, i)
-
-
-def test_lift_sums_match_closed_forms_at_e_150():
-    e = 150
-    assert inverse_sum(e) == Fraction(-(e - 1), 2)
-    for d in range(1, e):
-        assert ratio_sum(e, d) == e - d
-    for d in range(1, e + 1):
-        assert shifted_sum(e, d) == Fraction(e - 2 * d + 1, 2)
-
-
-def _packed_reduction(field, rows):
-    unpack, words = field._reduce_rows(rows)
-    return list(zip(*map(unpack, words)))
-
-
-def test_packed_rows_match_scalar_reduction():
-    rng = random.Random(9)
-    for e in [*range(2, 61), 100, 105, 150, 210, 255, 256, 257]:
-        field = cyclo_field(e)
-        for n in (1, rng.randint(1, 2 * e), 2 * e) if e <= 60 else (2 * e,):
-            # magnitudes of 4 to 52 bits, so every slot width is used
-            bits = rng.choice((4, 12, 28, 40, 52))
-            rows = [[rng.getrandbits(bits + 1) - (1 << bits) for _ in range(e)] for _ in range(n)]
-            expected = [field._reduced(list(row)).num for row in rows]
-            assert _packed_reduction(field, rows) == expected, (e, n)
-
-
-@pytest.mark.parametrize("bits", [16, 32, 64])
-def test_packed_rows_at_the_slot_bound(bits):
-    # H_7 = 1, so a row's bound is its 1-norm; x^6 reduces to -(1 + x + ... + x^5)
-    field, m = cyclo_field(7), 1 << (bits - 1)
-    rows = [[m - 1] + [0] * 6, [0] * 6 + [-(m - 1)], [1 - m] + [0] * 6, [0] * 6 + [-m // 2]]
-    expected = [(m - 1,) + (0,) * 5, (m - 1,) * 6, (1 - m,) + (0,) * 5, (m // 2,) * 6]
-    assert _packed_reduction(field, rows) == expected
-    if bits < 64:
-        # a bound of exactly 2^(w-1) needs the next width: -m at x^6 reduces to +m
-        assert _packed_reduction(field, [[0] * 6 + [-m]]) == [(m,) * 6]
-        # H_105 = 2: a row of 1-norm m/2 can reduce to a coefficient m
-        field = cyclo_field(105)
-        k, c = next((k, c) for k in range(105) for c in field.zeta_pow(k).num if abs(c) == 2)
-        row = [0] * k + [c // 2 * m // 2] + [0] * (104 - k)
-        assert _packed_reduction(field, [row]) == [field._reduced(list(row)).num]
-    else:
-        with pytest.raises(InternalInconsistencyError, match="overflow 64-bit slots"):
-            field._reduce_rows([[0] * 6 + [-m]])
-
-
-def test_constant_terms_need_rational_rows_of_length_e():
-    field = cyclo_field(12)
-    assert field.constant_terms([[1] + [0] * 11, [0] * 6 + [1] + [0] * 5]) == (1, -1)
-    for rows in ([], [[1] * 11], [[1] * 12, [1] * 13]):
-        with pytest.raises(InvalidArgumentError):
-            field.constant_terms(rows)
-    with pytest.raises(InternalInconsistencyError, match="not rational"):
-        field.constant_terms([[1] * 12, [0, 1] + [0] * 10])
+        for k in range(e):
+            assert total(lambda i: zeta[i * k % e]) == f.from_rational(geometric_sum(e, k))
+        assert total(inv.get) == f.from_rational(inverse_sum(e))
+        for d in range(1, e):
+            ratio = total(lambda i: (zeta[i * d % e] - 1) * inv[i])
+            assert ratio == f.from_rational(ratio_sum(e, d)), (e, d)
+        for d in range(1, e + 1):
+            shifted = total(lambda i: zeta[i * d % e] * inv[i])
+            assert shifted == f.from_rational(shifted_sum(e, d)), (e, d)

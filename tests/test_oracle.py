@@ -135,15 +135,15 @@ def test_verify_inertia_totals_small():
 
 
 def test_inertia_totals_use_no_field_arithmetic(monkeypatch):
+    # every suite of verify, the root-of-unity sums included
     def refuse(*args):
-        raise AssertionError("Q(zeta_e) arithmetic in the inertia route")
+        raise AssertionError("Q(zeta_e) arithmetic in verify")
 
     monkeypatch.setattr(cyclotomic, "cyclo_field", refuse)
     monkeypatch.setattr(cyclotomic.CycloField, "_reduced", refuse)
-    monkeypatch.setattr(cyclotomic.CycloField, "_reduce", refuse)
-    monkeypatch.setattr(oracle, "cyclo_field", refuse)
-    report = verify_inertia_totals(12)
-    assert report.passed and report.cases == sum(range(2, 13))
+    reports = run_all(60, 20)
+    assert all(r.passed for r in reports)
+    assert [r.cases for r in reports[:2]] == [7257, 819]
 
 
 @pytest.mark.parametrize("where, wrong", [
@@ -174,23 +174,48 @@ def test_broken_inertia_closed_form_is_one_failure(monkeypatch, where, wrong):
     assert report.failures[0]["got"] == str(true_total(e, d))
 
 
+@pytest.mark.parametrize("name, where, wrong, failed", [
+    ("geometric_sum", (17, 0), lambda e, c: c + 1, ["geometric e=17 k=0"]),
+    ("geometric_sum", (60, 59), lambda e, c: -c, ["geometric e=60 k=59"]),
+    # off by q/e for the split prime q: e times it has the same residue mod q
+    ("inverse_sum", (41,), lambda e, c: c + Fraction(oracle._split_prime(e)[0], e),
+     ["inverse e=41"]),
+    ("shifted_sum", (2, 2), lambda e, c: c + Fraction(1, 2), ["shifted e=2 d=2"]),
+    # a value whose e multiple is not an integer
+    ("shifted_sum", (30, 7), lambda e, c: c + Fraction(1, 3 * e), ["shifted e=30 d=7"]),
+    # both routes of a ratio sum see the break
+    ("ratio_sum", (31, 30), lambda e, c: c + 10**40, ["ratio e=31 d=30", "telescoped e=31 d=30"]),
+])
+def test_broken_sum_closed_form_fails_once_per_route(monkeypatch, name, where, wrong, failed):
+    true_form = getattr(oracle, name)
+
+    def broken(*args):
+        c = true_form(*args)
+        return wrong(args[0], c) if args == where else c
+
+    monkeypatch.setattr(oracle, name, broken)
+    report = verify_cyclotomic_suite(60)
+    assert report.cases == 7257
+    assert [f["params"] for f in report.failures] == failed
+    for f in report.failures:
+        assert (f["expected"], f["got"]) == (str(broken(*where)), str(true_form(*where)))
+
+
 def _trial_division_prime(q):
     # plain trial division, independent of exact_arith and Miller-Rabin
     return q > 1 and all(q % p for p in range(2, math.isqrt(q) + 1))
 
 
 def test_split_prime_for_every_e_up_to_150():
-    # verify's own e cap; the inertia suite stops at 40, but the route must
-    # work for any e it could be given
+    # verify's own e cap, which the cyclotomic suite runs to
     for e in range(2, 151):
         q, omega = oracle._split_prime(e)
         assert q > e**3 and q % e == 1 and _trial_division_prime(q), (e, q)
         assert pow(omega, e, q) == 1
         assert all(pow(omega, k, q) != 1 for k in range(1, e))
-        if e <= 40:
-            # each sum of e zeta^(id)/(1 - zeta^(-i)) is below e^3/4 < q/2
-            conj = sum(e / abs(1 - cmath.exp(-2j * math.pi * i / e)) for i in range(1, e))
-            assert conj < e**3 / 4
+        # each sum of e zeta^(id)/(zeta^i - 1) is below e^3/4 < q/2
+        conj = sum(e / abs(1 - cmath.exp(2j * math.pi * i / e)) for i in range(1, e))
+        assert conj < e**3 / 4
 
 
 def test_inertia_images_are_fixed_by_galois():
@@ -198,10 +223,10 @@ def test_inertia_images_are_fixed_by_galois():
     # of unity gives the same images, so the sums are rational
     for e in range(2, 41):
         q, omega = oracle._split_prime(e)
-        images = oracle._inertia_images(e, q, omega)
+        images = oracle._sum_images(e, q, omega)
         for k in range(2, e):
             if math.gcd(k, e) == 1:
-                assert oracle._inertia_images(e, q, pow(omega, k, q)) == images, (e, k)
+                assert oracle._sum_images(e, q, pow(omega, k, q)) == images, (e, k)
 
 
 def test_verify_chi_two_routes():
