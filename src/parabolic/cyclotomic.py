@@ -3,12 +3,12 @@
 Elements are polynomial residues modulo the e-th cyclotomic polynomial
 Phi_e: an integer numerator vector over one positive common denominator
 (the layout of FLINT's fmpq_poly), reduced modulo the monic Phi_e in plain
-int arithmetic.  The inverses (zeta^i - 1)^-1 come from a closed form, all
-built and certified at once, before any is used; the general inverse() runs
-extended Euclid and is off that path.  An inertia term multiplies a lift by a
-power of zeta as a cyclic index shift modulo x^e - 1 and reduces once at the
-end: the quotient map Q[x]/(x^e - 1) -> Q[x]/(Phi_e) is a ring homomorphism,
-so the reduced result is an exact field value.
+int arithmetic.  Each inverse (zeta^i - 1)^-1 comes from a closed form,
+certified on first use; the general inverse() runs extended Euclid and is off
+that path.  An inertia term multiplies a lift by a power of zeta as a cyclic
+index shift modulo x^e - 1 and reduces once at the end: the quotient map
+Q[x]/(x^e - 1) -> Q[x]/(Phi_e) is a ring homomorphism, so the reduced result
+is an exact field value.
 
 The root-of-unity sums are closed forms.  ``oracle`` checks each of them
 against the exact value of its sum, recovered at one split prime.
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import InternalInconsistencyError, InvalidArgumentError
@@ -126,8 +126,8 @@ def cyclo_field(e: int) -> "CycloField":
 class CycloField:
     """The field Q(zeta_e), presented as Q[x]/(Phi_e(x)).
 
-    The table of (zeta^i - 1)^-1 lifts is built and certified once, on first
-    need, so a field object can be shared read-only across concurrent sweeps.
+    Each (zeta^i - 1)^-1 lift is certified and cached on first use; a race only
+    repeats that work, so a field object can be shared across concurrent sweeps.
     """
 
     def __init__(self, e: int):
@@ -138,6 +138,7 @@ class CycloField:
         self.degree = len(self.modulus) - 1
         # the nonzero non-leading terms of Phi_e, all that reduction touches
         self._terms = tuple((j, c) for j, c in enumerate(self.modulus[:-1]) if c)
+        self._lifts: dict[int, tuple[int, ...]] = {}  # i -> certified scaled lift
 
     def __repr__(self) -> str:
         return f"CycloField({self.e})"
@@ -194,22 +195,21 @@ class CycloField:
         """e * (zeta^i - 1)^{-1} as a certified integer vector of length e.
 
         Scaled inverses are integral, which lets inertia_term shift and
-        reduce them in plain int arithmetic.
+        reduce them in plain int arithmetic.  A lift is cached only after
+        (x^i - 1) * lift reduces to exactly e.
         """
-        if i % self.e == 0:
+        e, i = self.e, i % self.e
+        if i == 0:
             raise InvalidArgumentError("zeta^i - 1 vanishes for i = 0 mod e")
-        return self._lifts[i % self.e - 1]
-
-    @cached_property
-    def _lifts(self) -> tuple[tuple[int, ...], ...]:
-        """The e - 1 lifts; each (x^i - 1) * lift must reduce to exactly e."""
-        e = self.e
-        lifts = tuple(_inv_lift_closed_form(e, i) for i in range(1, e))
-        for i, v in enumerate(lifts, 1):
-            if self._reduced([a - b for a, b in zip(_cyclic_shift(v, i), v)]) != e * self.one():
+        lift = self._lifts.get(i)
+        if lift is None:
+            lift = _inv_lift_closed_form(e, i)
+            product = [a - b for a, b in zip(_cyclic_shift(lift, i), lift)]
+            if self._reduced(product) != e * self.one():
                 raise InternalInconsistencyError(
                     f"closed-form (zeta^{i} - 1)^-1 is wrong in Q(zeta_{e})")
-        return lifts
+            self._lifts[i] = lift
+        return lift
 
 
 def _normalised(field: CycloField, num: list[int], den: int) -> "CycloElem":

@@ -6,8 +6,9 @@ a split prime instead of closed forms) and reports exact mismatches.  All
 arithmetic is exact, so any failure is a defect, never a tolerance issue.
 
 The root-of-unity sums and the inertia totals use no ``cyclotomic``
-arithmetic.  Each closed form is compared with a rational multiple of
-E_d = sum_i e zeta^(id)/(zeta^i - 1) or G_d = sum_i zeta^(id), d = 0..e-1.
+arithmetic.  ``root_of_unity_suites`` computes, once per e,
+E_d = sum_i e zeta^(id)/(zeta^i - 1) and G_d = sum_i zeta^(id), d = 0..e-1,
+and compares every closed form of both reports with a rational multiple of one.
 Both sums run over all 0 < i < e, so they are fixed by every automorphism
 zeta -> zeta^k of Q(zeta_e), k prime to e, which only permutes the i; and
 each of their terms is an algebraic integer, as zeta^j - 1 divides e.  So
@@ -78,9 +79,9 @@ class Lcg64:
         return self.state
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        if n < 1:
-            raise InvalidArgumentError(f"below requires n >= 1, got {n}")
+        """Uniform integer in [0, n), for 1 <= n <= 2^64."""
+        if not 1 <= n <= self.MODULUS:
+            raise InvalidArgumentError(f"below requires 1 <= n <= 2^64, got {n}")
         limit = (self.MODULUS // n) * n
         while True:
             r = self.next_u64()
@@ -236,16 +237,26 @@ def hom_identity_suite(count: int, seed: int) -> VerificationReport:
     )
 
 
-def verify_cyclotomic_suite(e_max: int) -> VerificationReport:
-    """Every root-of-unity closed form for 2 <= e <= e_max, against its exact sum.
+# the inertia totals run for e <= 40 only: perfbench's verify_counts pins their case count
+INERTIA_E_MAX = 40
 
-    The sums come from E_d and G_k at the prime of ``_split_prime`` (module
-    docstring).  The ratio sums are checked twice: as (E_d - E_0)/e, and as
-    the telescoped sum of G_t over t < d, which uses no division.
+
+def root_of_unity_suites(e_max: int) -> list[VerificationReport]:
+    """The cyclotomic-identities and inertia-totals reports, one image pass per e.
+
+    Every root-of-unity closed form for 2 <= e <= e_max is checked against
+    E_d and G_k at the prime of ``_split_prime`` (module docstring), the ratio
+    sums twice: as (E_d - E_0)/e, and as the telescoped sum of G_t over t < d,
+    which uses no division.  For e <= INERTIA_E_MAX, inertia_total(e, d) must
+    equal E_(d+1 mod e)/e^2, the sum over 0 < i < e of
+    zeta^(id)/(e(1 - zeta^(-i))) = zeta^(i(d+1))/(e(zeta^i - 1)).  A failure
+    records the exact sum as got.
     """
     if e_max < 2:
-        raise InvalidArgumentError(f"verify_cyclotomic_suite requires e_max >= 2, got {e_max}")
+        raise InvalidArgumentError(f"root_of_unity_suites requires e_max >= 2, got {e_max}")
     report = VerificationReport("cyclotomic-identities", f"2 <= e <= {e_max}")
+    inertia = VerificationReport("inertia-totals",
+                                 f"2 <= e <= {min(e_max, INERTIA_E_MAX)}, 0 <= d < e")
     for e in range(2, e_max + 1):
         shifted, geometric = _sum_images(e, *_split_prime(e))
         for k in range(e):
@@ -259,7 +270,11 @@ def verify_cyclotomic_suite(e_max: int) -> VerificationReport:
             report.check(f"telescoped e={e} d={d}", ratio, Fraction(telescoped))
         for d in range(1, e + 1):
             report.check(f"shifted e={e} d={d}", shifted_sum(e, d), Fraction(shifted[d % e], e))
-    return report
+        if e <= INERTIA_E_MAX:
+            for d in range(e):
+                inertia.check(f"e={e} d={d}", inertia_total(e, d),
+                              Fraction(shifted[(d + 1) % e], e * e))
+    return [report, inertia]
 
 
 def _split_prime(e: int) -> tuple[int, int]:
@@ -297,24 +312,6 @@ def _sum_images(e: int, q: int, omega: int) -> tuple[list[int], list[int]]:
     images = ([sum(s * powers[i * d % e] for i, s in enumerate(scaled, 1)) % q for d in range(e)],
               [sum(powers[i * d % e] for i in range(1, e)) % q for d in range(e)])
     return tuple([x - q if 2 * x > q else x for x in row] for row in images)
-
-
-def verify_inertia_totals(e_max: int) -> VerificationReport:
-    """The closed form inertia_total(e, d) = (e - 1 - 2d)/(2e), all d < e <= e_max.
-
-    It must equal T/e^2, where T = sum_i e zeta^(id)/(1 - zeta^(-i)) over
-    0 < i < e.  As zeta^(id)/(1 - zeta^(-i)) = zeta^(i(d+1))/(zeta^i - 1),
-    T is E_(d+1 mod e), read off at the prime of ``_split_prime`` (module
-    docstring).  A failure records T/e^2 as got.
-    """
-    if e_max < 2:
-        raise InvalidArgumentError(f"verify_inertia_totals requires e_max >= 2, got {e_max}")
-    report = VerificationReport("inertia-totals", f"2 <= e <= {e_max}, 0 <= d < e")
-    for e in range(2, e_max + 1):
-        shifted, _ = _sum_images(e, *_split_prime(e))
-        for d in range(e):
-            report.check(f"e={e} d={d}", inertia_total(e, d), Fraction(shifted[(d + 1) % e], e * e))
-    return report
 
 
 def verify_chi_two_routes(bundle: ParabolicBundle) -> VerificationReport:
@@ -422,8 +419,7 @@ def ed_consistency_suite(count: int, seed: int) -> VerificationReport:
 def run_all(e_max: int = 12, random_count: int = 100, seed: int = 1) -> list[VerificationReport]:
     """Every verification suite, in a fixed order with derived seeds."""
     return [
-        verify_cyclotomic_suite(e_max),
-        verify_inertia_totals(min(e_max, 40)),
+        *root_of_unity_suites(e_max),
         hom_identity_suite(random_count, seed),
         chi_suite(random_count, seed + 1),
         root_line_suite(),

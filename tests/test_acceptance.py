@@ -16,8 +16,7 @@ from parabolic.oracle import (
     ed_consistency_suite,
     end_chi_suite,
     hom_identity_suite,
-    verify_cyclotomic_suite,
-    verify_inertia_totals,
+    root_of_unity_suites,
 )
 from parabolic.riemann_roch import euler_char
 
@@ -31,7 +30,7 @@ def _line(number, description, ok, extra=""):
 
 def test_criterion_1_cyclotomic_identity_suite():
     start = time.monotonic()
-    report = verify_cyclotomic_suite(60)
+    report = root_of_unity_suites(60)[0]
     elapsed = time.monotonic() - start
     ok = report.passed and elapsed < 30.0
     _line(1, "cyclotomic identities, 2 <= e <= 60",
@@ -42,7 +41,7 @@ def test_criterion_1_cyclotomic_identity_suite():
 
 
 def test_criterion_2_inertia_totals():
-    report = verify_inertia_totals(40)
+    report = root_of_unity_suites(40)[1]
     _line(2, "inertia totals, 2 <= e <= 40, 0 <= d < e",
           report.passed, f" ({report.cases} cases)")
     assert report.passed, report.failures[:5]

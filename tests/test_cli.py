@@ -396,6 +396,14 @@ def test_verify_e60_output_is_pinned():
     assert invoke(["verify", "--e-max", "60"]) == (0, golden, "")
 
 
+def test_verify_text_output_is_pinned():
+    # stdout of `parabolic verify --format text`, recorded before the two
+    # root-of-unity reports shared one split-prime pass; CI compares the
+    # installed console script with it too
+    golden = (Path(__file__).resolve().parent / "data" / "verify_default.txt").read_text()
+    assert invoke(["verify", "--format", "text"]) == (0, golden, "")
+
+
 def _bigprime_loaded_after(statement):
     # runs the statement in a fresh interpreter, importing this checkout's package
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -212,15 +212,30 @@ def test_corrupted_closed_form_is_rejected(monkeypatch):
         # a fresh field, so the shared cached tables stay untouched
         with pytest.raises(InternalInconsistencyError):
             CycloField(e).inv_omega_minus_one(i)
-    # one bad lift fails the whole table before any lift is used, and is named;
+    # one bad lift fails when it is used, is named, and is never cached;
     # its product e + x^6 - x^3 keeps the constant term e in Q(zeta_30)
     bad = 3
     monkeypatch.setattr(cyclotomic, "_inv_lift_closed_form",
                         lambda e, i: off_by_one(e, i) if i == bad else exact(e, i))
     field = CycloField(30)
-    with pytest.raises(InternalInconsistencyError, match=rf"\(zeta\^{bad} - 1\)\^-1 is wrong"):
-        field.inv_omega_minus_one(1)
-    assert "_lifts" not in vars(field)
+    assert field.inv_omega_minus_one(1) == (field.zeta() - 1).inverse()
+    for i in (bad, bad + 30, bad):
+        with pytest.raises(InternalInconsistencyError, match=rf"\(zeta\^{bad} - 1\)\^-1 is wrong"):
+            field.inv_omega_minus_one(i)
+    assert list(field._lifts) == [1]
+
+
+def test_a_cold_call_certifies_one_lift(monkeypatch):
+    field = CycloField(401)
+    built = []
+    exact = cyclotomic._inv_lift_closed_form
+    monkeypatch.setattr(cyclotomic, "_inv_lift_closed_form",
+                        lambda e, i: built.append(i) or exact(e, i))
+    monkeypatch.setattr(cyclotomic, "cyclo_field", lambda e: field)
+    term = inertia_term(401, 0, 1)
+    # 1/(1 - zeta^-1) is -(zeta^400 - 1)^-1: lift 400 alone is built and certified
+    assert built == [400] and list(field._lifts) == [400]
+    assert inertia_term(401, 0, 1) == term and built == [400]
 
 
 def _assert_normalised(x):

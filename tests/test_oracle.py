@@ -1,7 +1,11 @@
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,13 +25,12 @@ from parabolic.oracle import (
     random_weights,
     root_line_bundle,
     root_line_suite,
+    root_of_unity_suites,
     run_all,
     verify_chi_two_routes,
-    verify_cyclotomic_suite,
     verify_ed_consistency,
     verify_end_chi,
     verify_hom_identity,
-    verify_inertia_totals,
 )
 
 
@@ -44,6 +47,28 @@ def test_lcg_below_range():
     assert len(set(draws)) == 7
     with pytest.raises(InvalidArgumentError):
         rng.below(0)
+
+
+def test_lcg_below_refuses_ranges_past_2_64_at_once():
+    # past 2^64 no draw is below the largest multiple of n, so rejection would
+    # never end: a child process with a timeout turns such a hang into a failure
+    probe = """if True:
+        from parabolic.errors import InvalidArgumentError
+        from parabolic.oracle import Lcg64, random_weights
+        assert 0 <= Lcg64(5).below(2**64) < 2**64
+        # random_weights(2, r, seed) draws below r + 1
+        assert random_weights(2, 2**64 - 1, 1).rank == 2**64 - 1
+        for call in (lambda: Lcg64(5).below(2**64 + 1), lambda: random_weights(2, 2**64, 1)):
+            try:
+                call()
+            except InvalidArgumentError:
+                continue
+            raise AssertionError("accepted a range past 2^64")
+    """
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                   check=True, timeout=10)
 
 
 def test_random_weights_examples():
@@ -121,17 +146,29 @@ def test_verify_hom_identity():
 
 
 def test_verify_cyclotomic_suite_small():
-    report = verify_cyclotomic_suite(2)
+    report = root_of_unity_suites(2)[0]
     assert report.passed
     assert report.cases >= 3
-    report = verify_cyclotomic_suite(12)
+    report = root_of_unity_suites(12)[0]
     assert report.passed
     with pytest.raises(InvalidArgumentError):
-        verify_cyclotomic_suite(1)
+        root_of_unity_suites(1)
 
 
 def test_verify_inertia_totals_small():
-    assert verify_inertia_totals(10).passed
+    assert root_of_unity_suites(10)[1].passed
+
+
+def test_run_all_reads_each_split_prime_once(monkeypatch):
+    calls = []
+    true_images = oracle._sum_images
+    monkeypatch.setattr(oracle, "_sum_images",
+                        lambda *args: calls.append(args) or true_images(*args))
+    reports = run_all(60, 0)
+    # one image pass per e serves both reports
+    assert [args[0] for args in calls] == list(range(2, 61))
+    assert [(r.parameter_range, r.cases) for r in reports[:2]] == [
+        ("2 <= e <= 60", 7257), ("2 <= e <= 40, 0 <= d < e", 819)]
 
 
 def test_inertia_totals_use_no_field_arithmetic(monkeypatch):
@@ -166,7 +203,7 @@ def test_broken_inertia_closed_form_is_one_failure(monkeypatch, where, wrong):
         return wrong(e, c) if (e, d) == where else c
 
     monkeypatch.setattr(oracle, "inertia_total", broken)
-    report = verify_inertia_totals(40)
+    report = root_of_unity_suites(40)[1]
     assert report.cases == 819
     e, d = where
     assert [f["params"] for f in report.failures] == [f"e={e} d={d}"]
@@ -194,7 +231,7 @@ def test_broken_sum_closed_form_fails_once_per_route(monkeypatch, name, where, w
         return wrong(args[0], c) if args == where else c
 
     monkeypatch.setattr(oracle, name, broken)
-    report = verify_cyclotomic_suite(60)
+    report = root_of_unity_suites(60)[0]
     assert report.cases == 7257
     assert [f["params"] for f in report.failures] == failed
     for f in report.failures:
@@ -305,7 +342,7 @@ def test_report_records_failures():
 
 
 def test_report_json_roundtrips():
-    report = verify_cyclotomic_suite(3)
+    report = root_of_unity_suites(3)[0]
     obj = report.to_json_obj()
     assert obj["pass"] is True
     assert obj["name"] == "cyclotomic-identities"
