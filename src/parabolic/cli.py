@@ -278,7 +278,7 @@ def _trdeg_bound(args: argparse.Namespace) -> dict:
 
 
 def _verify(args: argparse.Namespace) -> dict:
-    # fixed ceilings bound the work: the cost grows faster than e_max^2 (~0.5 s at 150)
+    # fixed ceilings bound the work: the cost grows as e_max^2, like the case count (~0.4 s at 150)
     e_max = _in_range("--e-max", args.e_max, 2, 150)
     count = _in_range("--random", args.random, 0, 100_000)
     reports = run_all(e_max=e_max, random_count=count, seed=args.seed)

@@ -100,7 +100,7 @@ def inertia_bundle_total(point: ParabolicPoint) -> Fraction:
     """
     e = point.ramification
     return sum(
-        (delta * inertia_total(e, d) for d, delta in enumerate(jumps(point.weights))),
+        (delta * inertia_total(e, d) for d, delta in enumerate(jumps(point.weights)) if delta),
         Fraction(0),
     )
 

@@ -266,6 +266,26 @@ def test_inertia_images_are_fixed_by_galois():
                 assert oracle._sum_images(e, q, pow(omega, k, q)) == images, (e, k)
 
 
+def _direct_sum_images(e, q, omega):
+    # the O(e^2) reference: each of the e images summed term by term
+    powers = [1] * e
+    for j in range(1, e):
+        powers[j] = powers[j - 1] * omega % q
+    scaled = [e * pow(powers[i] - 1, -1, q) for i in range(1, e)]  # e/(omega^i - 1)
+    images = ([sum(s * powers[i * d % e] for i, s in enumerate(scaled, 1)) % q for d in range(e)],
+              [sum(powers[i * d % e] for i in range(1, e)) % q for d in range(e)])
+    return tuple([x - q if 2 * x > q else x for x in row] for row in images)
+
+
+def test_chirp_images_match_the_direct_sums():
+    # verify's whole e range, then two orders past its cap (211 is prime, 401 too)
+    for e in [*range(2, 151), 211, 401]:
+        q, omega = oracle._split_prime(e)
+        k = next(k for k in range(2, 2 * e) if math.gcd(k, e) == 1)
+        for w in (omega, pow(omega, k, q)):
+            assert oracle._sum_images(e, q, w) == _direct_sum_images(e, q, w), (e, w)
+
+
 def test_verify_chi_two_routes():
     assert verify_chi_two_routes(bundle_on(3, 2, 0)).passed
     for e in range(1, 6):

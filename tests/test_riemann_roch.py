@@ -3,14 +3,17 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parabolic import riemann_roch
 from parabolic.core import (
     OrbifoldCurve,
     ParabolicBundle,
     ParabolicPoint,
     bundle_on,
+    jumps,
     root_line_datum,
     validate_weights,
 )
+from parabolic.oracle import random_weights
 from parabolic.riemann_roch import (
     correction_term,
     end_bundle,
@@ -84,6 +87,29 @@ def test_inertia_bundle_total_closed_form():
     p = _point(1, 5, [4, 3, 3, 1, 0, 0])
     r, e = 4, 5
     assert inertia_bundle_total(p) == Fraction(r * (e - 1), 2 * e) - correction_term(p)
+    zero_heavy = 0
+    for seed in range(500):
+        # e up to 40 against r up to 6: most draws have many zero jumps
+        e, r = 1 + seed % 40, 1 + seed % 6
+        p = ParabolicPoint(1, e, random_weights(e, r, seed))
+        assert inertia_bundle_total(p) == Fraction(r * (e - 1), 2 * e) - correction_term(p)
+        zero_heavy += sum(1 for x in jumps(p.weights) if x == 0) > e // 2
+    assert zero_heavy > 250
+
+
+def test_inertia_bundle_total_skips_zero_jumps(monkeypatch):
+    calls = []
+    true_total = riemann_roch.inertia_total
+    monkeypatch.setattr(riemann_roch, "inertia_total",
+                        lambda e, d: calls.append((e, d)) or true_total(e, d))
+    # jumps (0, 2, 0, 0, 1, 0, 0, 0, 3): three nonzero out of nine
+    p = _point(1, 9, [6, 6, 4, 4, 4, 3, 3, 3, 3, 0])
+    assert inertia_bundle_total(p) == Fraction(6 * 8, 18) - correction_term(p)
+    assert calls == [(9, 1), (9, 4), (9, 8)]
+    calls.clear()
+    # a root line: one nonzero jump out of e
+    inertia_bundle_total(_point(1, 12, root_line_datum(5, 12).entries))
+    assert calls == [(12, 5)]
 
 
 def test_end_euler_char_examples():
