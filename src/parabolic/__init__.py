@@ -16,8 +16,6 @@ from .bounds import (
     gerbe_ed_upper,
     gerbe_index,
     nil_dimension,
-    residual_ed_bound,
-    residual_ed_p_bound,
     trdeg_bound_indecomposable,
     trdeg_bound_nonsimple,
 )
@@ -118,8 +116,6 @@ __all__ = [
     "nil_dimension",
     "ratio_sum",
     "rational_str",
-    "residual_ed_bound",
-    "residual_ed_p_bound",
     "root_line_datum",
     "shifted_sum",
     "stacky_degree",

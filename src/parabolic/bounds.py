@@ -94,24 +94,6 @@ def gerbe_ed_p(n: int, p: int) -> int:
     return p ** v_p(n, p) - 1
 
 
-def residual_ed_bound(r: int) -> int:
-    """Bound r - 1 for the essential dimension of the residual gerbe."""
-    if r < 1:
-        raise InvalidArgumentError(f"rank must be >= 1, got {r}")
-    return r - 1
-
-
-def residual_ed_p_bound(r: int, p: int) -> int:
-    """Bound v_p(r) - 1 for the residual gerbe's essential p-dimension.
-
-    Returned literally, so the value is -1 whenever p does not divide r;
-    callers are expected to surface the negative case rather than clamp it.
-    """
-    if r < 1:
-        raise InvalidArgumentError(f"rank must be >= 1, got {r}")
-    return v_p(r, p) - 1
-
-
 def nil_dimension(
     genus: int,
     pieces: Sequence[GradedPiece],

@@ -13,9 +13,9 @@ Input documents describe an orbifold curve and a bundle on it::
 ``pieces`` is optional and only consulted by ``nil-dim`` and
 ``trdeg-bound``; without it, both use the one piece carrying the bundle's
 own weights.  Output is JSON by default (``--format text`` for a plain
-table; the PARAB_FORMAT environment variable overrides the flag).  Exit
-codes: 0 success, 1 hypothesis violation, 2 input error, 3 verification
-failure.  Rationals are emitted as exact "p/q" strings, never floats.
+table).  Exit codes: 0 success, 1 hypothesis violation, 2 input error,
+3 verification failure.  Rationals are emitted as exact "p/q" strings,
+never floats.
 
 Each ``COMMANDS`` entry is (help, arguments, handler).  A handler returns the
 payload to print; the exit code is 3 when its ``"pass"`` is false, else 0.
@@ -27,7 +27,6 @@ import argparse
 import contextlib
 import functools
 import json
-import os
 import sys
 from typing import Any, Callable, Sequence, TextIO
 
@@ -360,12 +359,6 @@ def run(argv: Sequence[str], stdout: TextIO | None = None,
         # argparse reports usage errors itself and exits with 2
         return EXIT_INPUT if exc.code else EXIT_OK
 
-    # --format is always valid, so a bad value here came from the environment
-    fmt = os.environ.get("PARAB_FORMAT", args.format)
-    if fmt not in ("json", "text"):
-        stderr.write(f"error: PARAB_FORMAT must be 'json' or 'text', got {fmt!r}\n")
-        return EXIT_INPUT
-
     try:
         payload = COMMANDS[args.command][2](args)
     except (InputError, InvalidArgumentError) as exc:
@@ -374,7 +367,7 @@ def run(argv: Sequence[str], stdout: TextIO | None = None,
     except HypothesisViolationError as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_HYPOTHESIS
-    _emit(payload, fmt, stdout)
+    _emit(payload, args.format, stdout)
     return EXIT_OK if payload.get("pass", True) else EXIT_VERIFY
 
 

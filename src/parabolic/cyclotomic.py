@@ -3,12 +3,8 @@
 Elements are polynomial residues modulo the e-th cyclotomic polynomial
 Phi_e: an integer numerator vector over one positive common denominator
 (the layout of FLINT's fmpq_poly), reduced modulo the monic Phi_e in plain
-int arithmetic.  Each inverse (zeta^i - 1)^-1 comes from a closed form,
-certified on first use; the general inverse() runs extended Euclid and is off
-that path.  An inertia term multiplies a lift by a power of zeta as a cyclic
-index shift modulo x^e - 1 and reduces once at the end: the quotient map
-Q[x]/(x^e - 1) -> Q[x]/(Phi_e) is a ring homomorphism, so the reduced result
-is an exact field value.
+int arithmetic.  Every inverse, (zeta^i - 1)^-1 included, is one
+fraction-free extended Euclid run against Phi_e.
 
 The root-of-unity sums are closed forms.  ``oracle`` checks each of them
 against the exact value of its sum, recovered at one split prime.
@@ -103,20 +99,6 @@ def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _inv_lift_closed_form(e: int, i: int) -> tuple[int, ...]:
-    """g * sum_{k<m} k x^(ik mod e) in Z[x]/(x^e - 1), g = gcd(i, e), m = e/g.
-
-    With w = zeta^i a primitive m-th root of unity, (w - 1) * sum_k k w^k
-    telescopes to (m - 1) - (w + ... + w^(m-1)) = m, so this lifts
-    e * (zeta^i - 1)^-1.
-    """
-    g = math.gcd(i, e)
-    lift = [0] * e
-    for k in range(e // g):
-        lift[(i * k) % e] = g * k
-    return tuple(lift)
-
-
 @lru_cache(maxsize=None)
 def cyclo_field(e: int) -> "CycloField":
     """Shared field object for Q(zeta_e); instances are cached and reused."""
@@ -124,11 +106,7 @@ def cyclo_field(e: int) -> "CycloField":
 
 
 class CycloField:
-    """The field Q(zeta_e), presented as Q[x]/(Phi_e(x)).
-
-    Each (zeta^i - 1)^-1 lift is certified and cached on first use; a race only
-    repeats that work, so a field object can be shared across concurrent sweeps.
-    """
+    """The field Q(zeta_e), presented as Q[x]/(Phi_e(x)); immutable once built."""
 
     def __init__(self, e: int):
         if e < 1:
@@ -138,7 +116,6 @@ class CycloField:
         self.degree = len(self.modulus) - 1
         # the nonzero non-leading terms of Phi_e, all that reduction touches
         self._terms = tuple((j, c) for j, c in enumerate(self.modulus[:-1]) if c)
-        self._lifts: dict[int, tuple[int, ...]] = {}  # i -> certified scaled lift
 
     def __repr__(self) -> str:
         return f"CycloField({self.e})"
@@ -160,11 +137,12 @@ class CycloField:
         return CycloElem(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     def from_cover(self, coeffs: Iterable[Fraction | int]) -> "CycloElem":
-        """Reduce an arbitrary-degree coefficient vector modulo Phi_e."""
+        """Reduce an arbitrary-degree int/Fraction coefficient vector modulo Phi_e."""
         rem = list(coeffs)
-        if all(isinstance(c, int) for c in rem):
-            return self._reduced(rem)
-        rem = [Fraction(c) for c in rem]
+        for k, c in enumerate(rem):
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                raise InvalidArgumentError(
+                    f"from_cover: coefficient {k} must be an int or Fraction, got {c!r}")
         den = math.lcm(*(c.denominator for c in rem))
         return self._reduced([c.numerator * (den // c.denominator) for c in rem], den)
 
@@ -189,27 +167,9 @@ class CycloField:
 
     def inv_omega_minus_one(self, i: int) -> "CycloElem":
         """(zeta^i - 1)^{-1}; i must not be divisible by e."""
-        return self._reduced(list(self._inv_lift_scaled(i)), self.e)
-
-    def _inv_lift_scaled(self, i: int) -> tuple[int, ...]:
-        """e * (zeta^i - 1)^{-1} as a certified integer vector of length e.
-
-        Scaled inverses are integral, which lets inertia_term shift and
-        reduce them in plain int arithmetic.  A lift is cached only after
-        (x^i - 1) * lift reduces to exactly e.
-        """
-        e, i = self.e, i % self.e
-        if i == 0:
+        if i % self.e == 0:
             raise InvalidArgumentError("zeta^i - 1 vanishes for i = 0 mod e")
-        lift = self._lifts.get(i)
-        if lift is None:
-            lift = _inv_lift_closed_form(e, i)
-            product = [a - b for a, b in zip(_cyclic_shift(lift, i), lift)]
-            if self._reduced(product) != e * self.one():
-                raise InternalInconsistencyError(
-                    f"closed-form (zeta^{i} - 1)^-1 is wrong in Q(zeta_{e})")
-            self._lifts[i] = lift
-        return lift
+        return (self.zeta_pow(i) - 1).inverse()
 
 
 def _normalised(field: CycloField, num: list[int], den: int) -> "CycloElem":
@@ -329,12 +289,6 @@ class CycloElem:
         return f"CycloElem(e={self.field.e}, coeffs={self.coeff_strings()})"
 
 
-def _cyclic_shift(vec: tuple[int, ...], k: int) -> tuple[int, ...]:
-    """Multiply by x^k modulo x^e - 1: a cyclic index shift."""
-    k %= len(vec)
-    return vec[-k:] + vec[:-k] if k else vec
-
-
 def _check_sum_domain(e: int) -> None:
     if e < 2:
         raise InvalidArgumentError(f"root-of-unity sums require e >= 2, got {e}")
@@ -385,8 +339,7 @@ def inertia_term(e: int, d: int, i: int) -> CycloElem:
         raise InvalidArgumentError(f"inertia_term requires 0 <= d < e, got d={d}")
     field = cyclo_field(e)
     # 1/(1 - zeta^(-i)) == -(zeta^(e-i) - 1)^(-1)
-    scaled = field._inv_lift_scaled(e - i)
-    return field._reduced(list(_cyclic_shift(scaled, i * d)), -e * e)
+    return field.zeta_pow(i * d) * field.inv_omega_minus_one(e - i) * Fraction(-1, e)
 
 
 def inertia_total(e: int, d: int) -> Fraction:

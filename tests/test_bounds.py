@@ -11,8 +11,6 @@ from parabolic.bounds import (
     gerbe_ed_upper,
     gerbe_index,
     nil_dimension,
-    residual_ed_bound,
-    residual_ed_p_bound,
     trdeg_bound_indecomposable,
     trdeg_bound_nonsimple,
 )
@@ -66,16 +64,6 @@ def test_gerbe_ed_upper_additive_on_coprimes(m, n):
 
     if gcd(m, n) == 1:
         assert gerbe_ed_upper(m * n) == gerbe_ed_upper(m) + gerbe_ed_upper(n)
-
-
-def test_residual_bounds():
-    assert residual_ed_bound(6) == 5
-    assert residual_ed_p_bound(6, 2) == 0
-    assert residual_ed_p_bound(5, 2) == -1  # literal value, caller flags negativity
-    with pytest.raises(InvalidArgumentError):
-        residual_ed_bound(0)
-    with pytest.raises(InvalidArgumentError):
-        residual_ed_p_bound(6, 4)
 
 
 def _piece(rank, *weights):

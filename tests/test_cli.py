@@ -184,13 +184,12 @@ def test_text_format_flag_and_env(chi_path, monkeypatch):
     code, out, _ = invoke(["chi", "-i", chi_path, "--format", "text"])
     assert code == 0
     assert "chi: -1" in out
-    # the environment variable overrides the flag
+    # --format is the one setting: the environment does not override it
+    code, json_out, _ = invoke(["chi", "-i", chi_path])
     monkeypatch.setenv("PARAB_FORMAT", "text")
-    code, out2, _ = invoke(["chi", "-i", chi_path, "--format", "json"])
-    assert code == 0 and out2 == out
-    monkeypatch.setenv("PARAB_FORMAT", "bogus")
-    code, _, err = invoke(["chi", "-i", chi_path])
-    assert code == 2 and "PARAB_FORMAT" in err
+    code2, out2, _ = invoke(["chi", "-i", chi_path])
+    assert code == code2 == 0 and out2 == json_out
+    assert json.loads(out2)["chi"] == "-1"
 
 
 def test_input_error_paths(tmp_path, chi_path):

@@ -97,9 +97,7 @@ extras = st.just([]) | st.lists(st.one_of(
 
 def _run_on_stdin(argv, text):
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(sys, "stdin", io.StringIO(text)), \
-            mock.patch.dict("os.environ", clear=False) as env:
-        env.pop("PARAB_FORMAT", None)
+    with mock.patch.object(sys, "stdin", io.StringIO(text)):
         code = cli.run(argv, stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
 

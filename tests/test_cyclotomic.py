@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parabolic import cyclotomic
 from parabolic.cyclotomic import (
-    CycloField,
     cyclo_field,
     cyclotomic_poly,
     geometric_sum,
@@ -176,14 +174,12 @@ def test_inertia_total_examples():
 
 
 def test_inertia_terms_sum_to_total_small():
-    for e in range(2, 13):
-        f = cyclo_field(e)
-        for d in range(e):
-            total = f.zero()
-            for i in range(1, e):
-                total = total + inertia_term(e, d, i)
-            assert total.is_rational()
-            assert total.to_rational() == inertia_total(e, d)
+    # e = 101 runs the generic inverse at a large prime degree
+    cases = [(e, d) for e in range(2, 13) for d in range(e)] + [(101, 0), (101, 50)]
+    for e, d in cases:
+        total = sum((inertia_term(e, d, i) for i in range(1, e)), cyclo_field(e).zero())
+        assert total.is_rational()
+        assert total.to_rational() == inertia_total(e, d), (e, d)
 
 
 def test_coeff_strings_serialization():
@@ -192,50 +188,24 @@ def test_coeff_strings_serialization():
     assert x.coeff_strings() == ["-1/8", "1/4"]
 
 
-def test_closed_form_inverses_match_euclid():
-    for e in range(2, 61):
+def test_inv_omega_minus_one_inverts():
+    for e in range(1, 41):
         f = cyclo_field(e)
-        for i in range(1, e):
-            assert f.inv_omega_minus_one(i) == (f.zeta_pow(i) - 1).inverse(), (e, i)
+        for i in range(1, 2 * e):
+            if i % e:
+                assert f.inv_omega_minus_one(i) * (f.zeta_pow(i) - 1) == f.one(), (e, i)
+        for i in (0, e, -e, 2 * e):
+            with pytest.raises(InvalidArgumentError,
+                               match=r"^zeta\^i - 1 vanishes for i = 0 mod e$"):
+                f.inv_omega_minus_one(i)
 
 
-def test_corrupted_closed_form_is_rejected(monkeypatch):
-    exact = cyclotomic._inv_lift_closed_form
-
-    def off_by_one(e, i):
-        lift = list(exact(e, i))
-        lift[3] += 1
-        return tuple(lift)
-
-    monkeypatch.setattr(cyclotomic, "_inv_lift_closed_form", off_by_one)
-    for e, i in ((7, 1), (12, 4), (30, 7)):
-        # a fresh field, so the shared cached tables stay untouched
-        with pytest.raises(InternalInconsistencyError):
-            CycloField(e).inv_omega_minus_one(i)
-    # one bad lift fails when it is used, is named, and is never cached;
-    # its product e + x^6 - x^3 keeps the constant term e in Q(zeta_30)
-    bad = 3
-    monkeypatch.setattr(cyclotomic, "_inv_lift_closed_form",
-                        lambda e, i: off_by_one(e, i) if i == bad else exact(e, i))
-    field = CycloField(30)
-    assert field.inv_omega_minus_one(1) == (field.zeta() - 1).inverse()
-    for i in (bad, bad + 30, bad):
-        with pytest.raises(InternalInconsistencyError, match=rf"\(zeta\^{bad} - 1\)\^-1 is wrong"):
-            field.inv_omega_minus_one(i)
-    assert list(field._lifts) == [1]
-
-
-def test_a_cold_call_certifies_one_lift(monkeypatch):
-    field = CycloField(401)
-    built = []
-    exact = cyclotomic._inv_lift_closed_form
-    monkeypatch.setattr(cyclotomic, "_inv_lift_closed_form",
-                        lambda e, i: built.append(i) or exact(e, i))
-    monkeypatch.setattr(cyclotomic, "cyclo_field", lambda e: field)
-    term = inertia_term(401, 0, 1)
-    # 1/(1 - zeta^-1) is -(zeta^400 - 1)^-1: lift 400 alone is built and certified
-    assert built == [400] and list(field._lifts) == [400]
-    assert inertia_term(401, 0, 1) == term and built == [400]
+def test_from_cover_rejects_inexact_coefficients():
+    f = cyclo_field(5)
+    assert f.from_cover([1, Fraction(1, 2), 0, 0, 0, 3]) == 1 + f.zeta() / 2 + 3 * f.zeta_pow(5)
+    for bad in (0.1, "1/3", True):
+        with pytest.raises(InvalidArgumentError, match="coefficient 1 must be an int or Fraction"):
+            f.from_cover([1, bad, 2])
 
 
 def _assert_normalised(x):
