@@ -14,7 +14,8 @@ Input documents describe an orbifold curve and a bundle on it::
 ``trdeg-bound``; without it, both use the one piece carrying the bundle's
 own weights.  Output is JSON by default (``--format text`` for a plain
 table).  Exit codes: 0 success, 1 hypothesis violation, 2 input error,
-3 verification failure.  Rationals are emitted as exact "p/q" strings,
+3 verification failure, 4 internal error (a defect: one line on stderr, no
+traceback).  Rationals are emitted as exact "p/q" strings,
 never floats.
 
 Each ``COMMANDS`` entry is (help, arguments, handler).  A handler returns the
@@ -58,6 +59,7 @@ EXIT_OK = 0
 EXIT_HYPOTHESIS = 1
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
+EXIT_INTERNAL = 4
 
 # caps on an input document (exit 2 beyond them); with 1000-digit integers every
 # printed product stays below Python's 4300-digit int-to-str limit
@@ -367,6 +369,9 @@ def run(argv: Sequence[str], stdout: TextIO | None = None,
     except HypothesisViolationError as exc:
         stderr.write(f"error: {exc}\n")
         return EXIT_HYPOTHESIS
+    except Exception as exc:  # a defect, such as an InternalInconsistencyError
+        stderr.write(f"error: internal: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
     _emit(payload, args.format, stdout)
     return EXIT_OK if payload.get("pass", True) else EXIT_VERIFY
 

@@ -2,7 +2,9 @@
 
 Rational values throughout the package are ``fractions.Fraction`` instances:
 arbitrary precision, always stored reduced with a positive denominator, so
-equality is structural and every operation is exact.
+equality is structural and every operation is exact.  Sums of many small
+rationals, as in ``riemann_roch``, add integer numerators over one common
+denominator and build one ``Fraction`` per value, not one per term.
 """
 
 from __future__ import annotations

@@ -28,13 +28,16 @@ Sampling ranges are fixed; a random suite takes only a case count and a seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
 
 from .bounds import ed_p_value, ed_upper_bound, gerbe_ed_p, gerbe_ed_upper, gerbe_index
 from .core import (
+    OrbifoldCurve,
     ParabolicBundle,
+    ParabolicPoint,
     Weights,
     bundle_on,
     flag_dim,
@@ -112,6 +115,16 @@ class VerificationReport:
             self.failures.append(
                 {"params": params, "expected": str(expected), "got": str(got)}
             )
+
+    def check_ratio(self, params: str, expected: Fraction | int, num: int, den: int,
+                    expected_den: int = 1) -> None:
+        """check(params, expected / expected_den, Fraction(num, den)) by
+        cross-multiplication: a Fraction is built only for a failure record."""
+        self.cases += 1
+        if expected.numerator * den != num * expected.denominator * expected_den:
+            self.failures.append({"params": params,
+                                  "expected": str(Fraction(expected, expected_den)),
+                                  "got": str(Fraction(num, den))})
 
     def absorb(self, other: VerificationReport) -> None:
         """Add another report's cases and failures to this one."""
@@ -195,9 +208,8 @@ def _bundle_report(name: str, b: ParabolicBundle) -> VerificationReport:
 
 def root_line_bundle(genus: int, e: int, i: int, residue_degree: int = 1) -> ParabolicBundle:
     """The i-th root-line power as a bundle: rank 1, degree floor(i/e) * f."""
-    w = root_line_datum(i, e)
-    return bundle_on(genus, 1, (i // e) * residue_degree,
-                     [(residue_degree, e, w.entries)])
+    point = ParabolicPoint(residue_degree, e, root_line_datum(i, e))
+    return ParabolicBundle(OrbifoldCurve(genus, (point,)), 1, (i // e) * residue_degree)
 
 
 def brute_flag_dim(w: Weights) -> int:
@@ -220,9 +232,9 @@ def verify_hom_identity(w: Weights) -> VerificationReport:
     report = VerificationReport("hom-datum-identity", f"weights {w.entries}")
     e = w.ramification
     m = hom_datum(w).entries
-    corr = Fraction(sum(d * (m[d] - m[d + 1]) for d in range(e)), e)
     fd = flag_dim(w)
-    report.check(f"{w.entries} correction-vs-flag", corr, Fraction(fd))
+    report.check_ratio(f"{w.entries} correction-vs-flag",
+                       sum(d * (m[d] - m[d + 1]) for d in range(e)), fd, 1, expected_den=e)
     report.check(f"{w.entries} flag-vs-brute", fd, brute_flag_dim(w))
     report.check(f"{w.entries} m0", w.rank**2, m[0])
     report.check(f"{w.entries} jumps-sum", w.rank, sum(jumps(w)))
@@ -265,19 +277,19 @@ def root_of_unity_suites(e_max: int) -> list[VerificationReport]:
         shifted, geometric = _sum_images(e, *_split_prime(e))
         for k in range(e):
             report.check(f"geometric e={e} k={k}", geometric_sum(e, k), geometric[k])
-        report.check(f"inverse e={e}", inverse_sum(e), Fraction(shifted[0], e))
+        report.check_ratio(f"inverse e={e}", inverse_sum(e), shifted[0], e)
         telescoped = 0
         for d in range(1, e):
             telescoped += geometric[d - 1]
             ratio = ratio_sum(e, d)
-            report.check(f"ratio e={e} d={d}", ratio, Fraction(shifted[d] - shifted[0], e))
+            report.check_ratio(f"ratio e={e} d={d}", ratio, shifted[d] - shifted[0], e)
             report.check(f"telescoped e={e} d={d}", ratio, telescoped)
         for d in range(1, e + 1):
-            report.check(f"shifted e={e} d={d}", shifted_sum(e, d), Fraction(shifted[d % e], e))
+            report.check_ratio(f"shifted e={e} d={d}", shifted_sum(e, d), shifted[d % e], e)
         if e <= INERTIA_E_MAX:
             for d in range(e):
-                inertia.check(f"e={e} d={d}", inertia_total(e, d),
-                              Fraction(shifted[(d + 1) % e], e * e))
+                inertia.check_ratio(f"e={e} d={d}", inertia_total(e, d),
+                                    shifted[(d + 1) % e], e * e)
     return [report, inertia]
 
 
@@ -334,24 +346,22 @@ def verify_chi_two_routes(bundle: ParabolicBundle) -> VerificationReport:
     Global term plus inertia contributions must equal chi, and chi must
     equal underlying degree + (1 - g) * rank.
     """
-    return _chi_two_routes(bundle, euler_char(bundle))
-
-
-def _chi_two_routes(b: ParabolicBundle, rep: ChiReport) -> VerificationReport:
-    """verify_chi_two_routes for a bundle whose euler_char is already rep."""
-    report = _bundle_report("chi-two-routes", b)
-    pts = [(p.degree, p.ramification) for p in b.curve.points]
-    assembled = global_term(rep.stacky_degree, b.rank, b.curve.genus, pts) + sum(
-        (p.degree * inertia_bundle_total(p) for p in b.curve.points), Fraction(0)
-    )
-    params = f"g={b.curve.genus} r={b.rank} d={b.degree} pts={pts}"
-    report.check(f"{params} global+inertia", rep.chi, assembled)
-    report.check(
-        f"{params} pushforward",
-        Fraction(b.degree + (1 - b.curve.genus) * b.rank),
-        rep.chi,
-    )
+    report = _bundle_report("chi-two-routes", bundle)
+    _chi_two_routes(report, bundle, euler_char(bundle))
     return report
+
+
+def _chi_two_routes(report: VerificationReport, b: ParabolicBundle, rep: ChiReport) -> None:
+    """Record verify_chi_two_routes' checks in report, for a bundle whose
+    euler_char is already rep."""
+    pts = [(p.degree, p.ramification) for p in b.curve.points]
+    terms = [(1, global_term(rep.stacky_degree, b.rank, b.curve.genus, pts))]
+    terms += [(p.degree, inertia_bundle_total(p)) for p in b.curve.points]
+    den = math.lcm(*[t.denominator for _, t in terms])
+    assembled = sum([f * t.numerator * (den // t.denominator) for f, t in terms])
+    params = f"g={b.curve.genus} r={b.rank} d={b.degree} pts={pts}"
+    report.check_ratio(f"{params} global+inertia", rep.chi, assembled, den)
+    report.check(f"{params} pushforward", b.degree + (1 - b.curve.genus) * b.rank, rep.chi)
 
 
 def chi_suite(count: int, seed: int) -> VerificationReport:
@@ -373,12 +383,11 @@ def root_line_suite() -> VerificationReport:
                     b = root_line_bundle(g, e, i, f)
                     rep = euler_char(b)
                     params = f"g={g} f={f} e={e} i={i}"
-                    expected = Fraction((i // e) * f + 1 - g)
-                    report.check(f"{params} chi", expected, rep.chi)
-                    report.check(
-                        f"{params} stacky", Fraction(i * f, e), rep.stacky_degree
-                    )
-                    report.absorb(_chi_two_routes(b, rep))
+                    report.check(f"{params} chi", (i // e) * f + 1 - g, rep.chi)
+                    stacky = rep.stacky_degree
+                    report.check_ratio(f"{params} stacky", i * f, stacky.numerator,
+                                       stacky.denominator, expected_den=e)
+                    _chi_two_routes(report, b, rep)
     return report
 
 
@@ -392,7 +401,7 @@ def verify_end_chi(bundle: ParabolicBundle) -> VerificationReport:
     report = _bundle_report("end-chi-two-routes", b)
     params = f"g={b.curve.genus} r={b.rank} d={b.degree}"
     endo = euler_char(end_bundle(b))
-    report.check(f"{params} end-stacky-zero", Fraction(0), endo.stacky_degree)
+    report.check(f"{params} end-stacky-zero", 0, endo.stacky_degree)
     report.check(f"{params} end-chi", end_euler_char(b), endo.chi)
     return report
 

@@ -4,11 +4,13 @@ The Euler characteristic of a parabolic bundle splits as a classical part
 (degree plus (1 - g) * rank, with the degree measured on the orbifold) minus
 a weighted jump correction per marked point; equivalently as a global
 integral plus a sum of inertia contributions.  Both assemblies are computed
-here and cross-checked by the oracle module.
+here and cross-checked by the oracle module.  Each value is one ``Fraction``
+built from integer numerators over a common denominator (a multiple of lcm(e_i)).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -49,14 +51,18 @@ class ChiReport:
         }
 
 
+def _correction_numerator(point: ParabolicPoint) -> int:
+    """e * correction_term(point): the sum of d * (n_d - n_{d+1}) over d < e."""
+    n = point.weights.entries
+    return sum(d * (n[d] - n[d + 1]) for d in range(point.ramification))
+
+
 def correction_term(point: ParabolicPoint) -> Fraction:
     """Sum of d * (n_d - n_{d+1}) / e over the jumps at one point.
 
     The residue-degree factor is applied by callers.
     """
-    n = point.weights.entries
-    e = point.ramification
-    return Fraction(sum(d * (n[d] - n[d + 1]) for d in range(e)), e)
+    return Fraction(_correction_numerator(point), point.ramification)
 
 
 def stacky_degree(bundle: ParabolicBundle) -> Fraction:
@@ -66,18 +72,18 @@ def stacky_degree(bundle: ParabolicBundle) -> Fraction:
 
 def euler_char(bundle: ParabolicBundle) -> ChiReport:
     """Full Euler characteristic report for a parabolic bundle."""
-    g = bundle.curve.genus
-    corrections = tuple(
-        (i, correction_term(p)) for i, p in enumerate(bundle.curve.points)
-    )
-    weighted = sum(
-        (p.degree * c for p, (_, c) in zip(bundle.curve.points, corrections)),
-        Fraction(0),
-    )
-    stacky = bundle.degree + weighted
-    classical = stacky + (1 - g) * bundle.rank
+    points = bundle.curve.points
+    den = math.lcm(*(p.ramification for p in points))
+    corrections, weighted = [], 0  # weighted and the sums below are numerators over den
+    for i, p in enumerate(points):
+        c = _correction_numerator(p)
+        corrections.append((i, Fraction(c, p.ramification)))
+        weighted += p.degree * c * (den // p.ramification)
+    stacky = bundle.degree * den + weighted
+    classical = stacky + (1 - bundle.curve.genus) * bundle.rank * den
     chi = classical - weighted
-    return ChiReport(chi, stacky, classical, corrections)
+    return ChiReport(Fraction(chi, den), Fraction(stacky, den), Fraction(classical, den),
+                     tuple(corrections))
 
 
 def global_term(
@@ -87,10 +93,12 @@ def global_term(
 
     deg + rank * (1 - g) + sum over points of f * rank * (1 - e) / (2e).
     """
-    total = Fraction(deg) + rank * (1 - genus)
+    points = list(points)
+    den = 2 * deg.denominator * math.lcm(*[e for _, e in points])
+    total = deg.numerator * (den // deg.denominator) + rank * (1 - genus) * den
     for f, e in points:
-        total += f * Fraction(rank * (1 - e), 2 * e)
-    return total
+        total += f * rank * (1 - e) * (den // (2 * e))
+    return Fraction(total, den)
 
 
 def inertia_bundle_total(point: ParabolicPoint) -> Fraction:
@@ -99,10 +107,12 @@ def inertia_bundle_total(point: ParabolicPoint) -> Fraction:
     Equals rank * (e - 1) / (2e) - correction_term(point).
     """
     e = point.ramification
-    return sum(
-        (delta * inertia_total(e, d) for d, delta in enumerate(jumps(point.weights)) if delta),
-        Fraction(0),
-    )
+    total = 0  # over 2e, which every inertia_total(e, d) denominator divides
+    for d, delta in enumerate(jumps(point.weights)):
+        if delta:
+            t = inertia_total(e, d)
+            total += delta * t.numerator * (2 * e // t.denominator)
+    return Fraction(total, 2 * e)
 
 
 def end_bundle(bundle: ParabolicBundle) -> ParabolicBundle:
@@ -115,15 +125,14 @@ def end_bundle(bundle: ParabolicBundle) -> ParabolicBundle:
         ParabolicPoint(p.degree, p.ramification, hom_datum(p.weights))
         for p in bundle.curve.points
     )
-    deg = -sum(
-        (p.degree * correction_term(p) for p in points), Fraction(0)
-    )
-    if deg.denominator != 1:
+    den = math.lcm(*(p.ramification for p in points))
+    deg = -sum(p.degree * _correction_numerator(p) * (den // p.ramification) for p in points)
+    if deg % den:
         raise InternalInconsistencyError(
-            f"endomorphism bundle degree {deg} is not an integer"
+            f"endomorphism bundle degree {Fraction(deg, den)} is not an integer"
         )
     curve = OrbifoldCurve(bundle.curve.genus, points)
-    return ParabolicBundle(curve, bundle.rank**2, int(deg))
+    return ParabolicBundle(curve, bundle.rank**2, deg // den)
 
 
 def end_euler_char(bundle: ParabolicBundle) -> Fraction:

@@ -10,6 +10,7 @@ import pytest
 
 from parabolic import cli
 from parabolic.cli import parse_document, run
+from parabolic.errors import InternalInconsistencyError
 from parabolic.oracle import VerificationReport
 
 CHI_DOC = {
@@ -230,6 +231,18 @@ def test_hypothesis_violation_exits_1(tmp_path):
     # chi itself stays unguarded at low genus
     code, _, _ = invoke(["chi", "-i", str(path)])
     assert code == 0
+
+
+def test_internal_error_exits_4_without_traceback(chi_path, monkeypatch):
+    def broken(bundle):
+        raise InternalInconsistencyError("endomorphism bundle degree 1/3 is not an integer")
+
+    monkeypatch.setattr(cli, "end_bundle", broken)
+    code, out, err = invoke(["hom-datum", "-i", chi_path])
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == ("error: internal: InternalInconsistencyError: "
+                   "endomorphism bundle degree 1/3 is not an integer\n")
 
 
 def test_stdin_input(chi_path, monkeypatch):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from parabolic import bounds, cyclotomic, exact_arith, oracle
-from parabolic.core import bundle_on, validate_weights
+from parabolic.core import Weights, bundle_on, validate_weights
 from parabolic.errors import InvalidArgumentError
 from parabolic.oracle import (
     Lcg64,
@@ -330,6 +331,75 @@ def test_ed_consistency_does_not_share_factorize_with_the_bounds(monkeypatch):
     report = ed_consistency_suite(50, seed=17)
     assert not report.passed
     assert any("gerbe-sum" in f["params"] for f in report.failures)
+
+
+def _offset(name, off):
+    # the oracle's own binding of a closed form, off by a constant everywhere
+    true_form = getattr(oracle, name)
+    return name, lambda *args: true_form(*args) + off
+
+
+def _off_field(field, off):
+    true_euler_char = oracle.euler_char
+
+    def broken(b):
+        rep = true_euler_char(b)
+        return dataclasses.replace(rep, **{field: getattr(rep, field) + off})
+    return "euler_char", broken
+
+
+def _suite_records(reports):
+    return [[r.name, r.cases, r.failures] for r in reports]
+
+
+def _root_line_records():
+    report = root_line_suite()
+    return [report.cases, len(report.failures), report.failures[:6] + report.failures[6::149]]
+
+
+def _chi_records():
+    return [(r := chi_suite(6, 11)).cases, r.failures]
+
+
+def _end_chi_records():
+    return [(r := end_chi_suite(3, 3)).cases, r.failures]
+
+
+# (break, records): tests/data/failure_records.json pins each record list, with
+# the params, expected and got of every failure in that order
+BREAKS = {
+    "inverse_sum": (lambda: _offset("inverse_sum", Fraction(1, 3)),
+                    lambda: _suite_records(root_of_unity_suites(4))),
+    "shifted_sum": (lambda: _offset("shifted_sum", 1),
+                    lambda: _suite_records(root_of_unity_suites(4))),
+    "ratio_sum": (lambda: _offset("ratio_sum", Fraction(-1, 2)),
+                  lambda: _suite_records(root_of_unity_suites(4))),
+    "inertia_total": (lambda: _offset("inertia_total", Fraction(1, 7)),
+                      lambda: _suite_records(root_of_unity_suites(4))),
+    "flag_dim": (lambda: _offset("flag_dim", 1),
+                 lambda: [verify_hom_identity(Weights(w)).failures
+                          for w in [(2, 1, 0), (3, 3, 1, 0), (1, 0)]]),
+    "root_line.stacky_degree": (lambda: _off_field("stacky_degree", Fraction(1, 2)),
+                                _root_line_records),
+    "chi_suite.stacky_degree": (lambda: _off_field("stacky_degree", Fraction(1, 2)),
+                                _chi_records),
+    "end_chi_suite.stacky_degree": (lambda: _off_field("stacky_degree", Fraction(1, 2)),
+                                    _end_chi_records),
+    "root_line.chi": (lambda: _off_field("chi", 1), _root_line_records),
+    "chi_suite.chi": (lambda: _off_field("chi", 1), _chi_records),
+    "end_chi_suite.chi": (lambda: _off_field("chi", 1), _end_chi_records),
+    "end_euler_char": (lambda: _offset("end_euler_char", Fraction(1, 2)), _end_chi_records),
+}
+PINNED_RECORDS = Path(__file__).parent / "data" / "failure_records.json"
+
+
+@pytest.mark.parametrize("key", BREAKS)
+def test_failure_records_are_pinned(monkeypatch, key):
+    brk, records = BREAKS[key]
+    monkeypatch.setattr(oracle, *brk())
+    pinned = json.loads(PINNED_RECORDS.read_text())[key]
+    # json.dumps keeps each record's key order, so a swapped pair shows too
+    assert json.dumps(records()) == json.dumps(pinned)
 
 
 def test_sweep_merges_one_failing_draw():

@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +15,8 @@ from parabolic.core import (
     root_line_datum,
     validate_weights,
 )
+from parabolic.cyclotomic import inertia_total
+from parabolic.errors import InternalInconsistencyError
 from parabolic.oracle import random_weights
 from parabolic.riemann_roch import (
     correction_term,
@@ -191,3 +195,88 @@ def test_chi_report_serialization():
         "classical_part": "-1/3",
         "corrections": [["0", "2/3"]],
     }
+
+
+# The closed forms as plain Fraction sums, term by term: the reference for the
+# integer-numerator assembly in riemann_roch.
+def _reference_correction(p):
+    n = p.weights.entries
+    return sum((Fraction(d * (n[d] - n[d + 1]), p.ramification)
+                for d in range(p.ramification)), Fraction(0))
+
+
+def _reference_euler_char(b):
+    corrections = tuple((i, _reference_correction(p)) for i, p in enumerate(b.curve.points))
+    weighted = sum((p.degree * c for p, (_, c) in zip(b.curve.points, corrections)),
+                   Fraction(0))
+    stacky = b.degree + weighted
+    classical = stacky + (1 - b.curve.genus) * b.rank
+    return classical - weighted, stacky, classical, corrections
+
+
+def _reference_global_term(deg, rank, genus, points):
+    total = Fraction(deg) + rank * (1 - genus)
+    for f, e in points:
+        total += f * Fraction(rank * (1 - e), 2 * e)
+    return total
+
+
+def _reference_inertia_total(p):
+    return sum((delta * inertia_total(p.ramification, d)
+                for d, delta in enumerate(jumps(p.weights))), Fraction(0))
+
+
+def _seeded_bundles():
+    rng = random.Random(20)
+    shapes = [
+        [],  # no points
+        [(1, 1)],  # e = 1 only
+        [(1, 2), (1, 3), (1, 5), (1, 7)],  # coprime ramification indices
+        [(2, 9), (3, 4), (1, 1), (2, 25)],  # f > 1, an e = 1 point
+        [(3, 11), (2, 13)],
+    ]
+    for shape in shapes:
+        for _ in range(8):
+            rank = rng.randint(1, 7)
+            points = [(f, e, random_weights(e, rank, rng.randrange(10**6)).entries)
+                      for f, e in shape]
+            yield bundle_on(rng.randint(0, 5), rank, rng.randint(-12, 12), points)
+
+
+def test_integer_assembly_matches_fraction_reference():
+    bundles_seen = list(_seeded_bundles())
+    assert any(b.degree < 0 for b in bundles_seen)
+    for b in bundles_seen:
+        rep = euler_char(b)
+        fields = (rep.chi, rep.stacky_degree, rep.classical_part)
+        assert fields == _reference_euler_char(b)[:3]
+        assert all(type(x) is Fraction for x in fields)
+        assert rep.corrections == _reference_euler_char(b)[3]
+        pts = [(p.degree, p.ramification) for p in b.curve.points]
+        for deg in (b.degree, rep.stacky_degree):
+            assert global_term(deg, b.rank, b.curve.genus, pts) == \
+                _reference_global_term(deg, b.rank, b.curve.genus, pts)
+        for p in b.curve.points:
+            assert inertia_bundle_total(p) == _reference_inertia_total(p)
+        endo = end_bundle(b)
+        assert type(endo.degree) is int
+        assert endo.degree == -sum((p.degree * _reference_correction(p)
+                                    for p in endo.curve.points), Fraction(0))
+
+
+def test_global_term_takes_any_rational_degree_and_iterable():
+    # 1/11 and 1/13: denominators coprime to every 2e below
+    pts = [(1, 2), (2, 3), (1, 5), (3, 1)]
+    for deg in (Fraction(1, 11), Fraction(-7, 13)):
+        expected = _reference_global_term(deg, 3, 2, pts)
+        assert global_term(deg, 3, 2, iter(pts)) == expected
+        assert global_term(deg, 3, 2, (p for p in pts)) == expected
+    assert global_term(Fraction(1, 11), 2, 0, iter([])) == Fraction(1, 11) + 2
+
+
+def test_end_bundle_refuses_a_non_integer_degree(monkeypatch):
+    # the identity as its own hom datum: degree -2/3 at e = 3
+    monkeypatch.setattr(riemann_roch, "hom_datum", lambda w: w)
+    with pytest.raises(InternalInconsistencyError) as info:
+        end_bundle(bundle_on(2, 2, 1, [(1, 3, [2, 1, 1, 0])]))
+    assert str(info.value) == "endomorphism bundle degree -2/3 is not an integer"
