@@ -54,9 +54,7 @@ from .errors import (
 from .exact_arith import (
     euler_phi,
     factorize,
-    gcd_list,
     is_prime,
-    rational_str,
     v_p,
 )
 from .riemann_roch import (
@@ -100,7 +98,6 @@ __all__ = [
     "factorize",
     "flag_dim",
     "flag_total",
-    "gcd_list",
     "geometric_sum",
     "gerbe_ed_p",
     "gerbe_ed_upper",
@@ -115,7 +112,6 @@ __all__ = [
     "jumps",
     "nil_dimension",
     "ratio_sum",
-    "rational_str",
     "root_line_datum",
     "shifted_sum",
     "stacky_degree",

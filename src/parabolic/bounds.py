@@ -7,12 +7,13 @@ h = gcd(rank, degree, interior weights).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import ParabolicBundle, Weights, flag_dim, flag_total
 from .errors import HypothesisViolationError, InvalidArgumentError
-from .exact_arith import factorize, gcd_list, is_prime, v_p
+from .exact_arith import factorize, is_prime, v_p
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ def gerbe_index(bundle: ParabolicBundle) -> int:
     values = [bundle.rank, abs(bundle.degree)]
     for p in bundle.curve.points:
         values.extend(p.weights.entries[1 : p.ramification])
-    return gcd_list(values)
+    return math.gcd(*values)
 
 
 def gerbe_ed_upper(n: int) -> int:

@@ -51,7 +51,7 @@ from .core import (
     validate_weights,
 )
 from .errors import HypothesisViolationError, InputError, InvalidArgumentError
-from .exact_arith import is_prime, rational_str
+from .exact_arith import is_prime
 from .oracle import run_all
 from .riemann_roch import end_bundle, end_euler_char, euler_char, stacky_degree
 
@@ -300,12 +300,12 @@ COMMANDS: dict[str, tuple[str, tuple, Callable[[argparse.Namespace], dict]]] = {
     "chi": ("Euler characteristic report for the bundle", _DOC,
             lambda a: euler_char(_bundle(a)).to_json_obj()),
     "end-chi": ("Euler characteristic of the endomorphism bundle", _DOC,
-                lambda a: {"end_chi": rational_str(end_euler_char(_bundle(a)))}),
+                lambda a: {"end_chi": str(end_euler_char(_bundle(a)))}),
     "flag-dim": ("flag dimensions at each point and their weighted total", _DOC, _flag_dim),
     "hom-datum": ("document for the endomorphism bundle", _DOC,
                   lambda a: document_json(end_bundle(_bundle(a)))),
     "stacky-degree": ("degree measured on the orbifold", _DOC,
-                      lambda a: {"stacky_degree": rational_str(stacky_degree(_bundle(a)))}),
+                      lambda a: {"stacky_degree": str(stacky_degree(_bundle(a)))}),
     "index": ("gerbe index h = gcd(rank, degree, interior weights)", _DOC,
               lambda a: {"h": gerbe_index(_bundle(a))}),
     "ed-bound": ("essential-dimension upper bound report", _DOC,

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import InternalInconsistencyError, InvalidArgumentError
-from .exact_arith import divisors, rational_str
+from .exact_arith import divisors
 
 
 def cyclotomic_poly(e: int) -> tuple[int, ...]:
@@ -283,7 +283,7 @@ class CycloElem:
 
     def coeff_strings(self) -> list[str]:
         """Serialized form: "p/q" strings, lowest degree first."""
-        return [rational_str(c) for c in self.coeffs]
+        return [str(c) for c in self.coeffs]
 
     def __repr__(self) -> str:
         return f"CycloElem(e={self.field.e}, coeffs={self.coeff_strings()})"

@@ -1,4 +1,4 @@
-"""Exact integer and rational arithmetic helpers.
+"""Exact integer arithmetic: primality, factorization, valuations and divisors.
 
 Rational values throughout the package are ``fractions.Fraction`` instances:
 arbitrary precision, always stored reduced with a positive denominator, so
@@ -9,19 +9,10 @@ denominator and build one ``Fraction`` per value, not one per term.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-from typing import Iterable
-
 from .errors import InvalidArgumentError
 
 # Ordered (prime, exponent) pairs with primes strictly increasing.
 PrimeFactorization = list[tuple[int, int]]
-
-
-def rational_str(q: Fraction | int) -> str:
-    """Render an exact rational as ``p/q``, or just ``p`` when q == 1."""
-    return str(Fraction(q))
 
 
 # Trial division finds every prime factor below this bound.  A cofactor left
@@ -62,11 +53,6 @@ def v_p(n: int, p: int) -> int:
         n //= p
         a += 1
     return a
-
-
-def gcd_list(xs: Iterable[int]) -> int:
-    """gcd of any number of nonnegative integers; 0 for none, as math.gcd()."""
-    return math.gcd(*xs)
 
 
 def factorize(n: int) -> PrimeFactorization:

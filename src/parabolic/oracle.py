@@ -126,11 +126,6 @@ class VerificationReport:
                                   "expected": str(Fraction(expected, expected_den)),
                                   "got": str(Fraction(num, den))})
 
-    def absorb(self, other: VerificationReport) -> None:
-        """Add another report's cases and failures to this one."""
-        self.cases += other.cases
-        self.failures.extend(other.failures)
-
     def to_json_obj(self) -> dict:
         return {
             "name": self.name,
@@ -143,12 +138,12 @@ class VerificationReport:
 
 def _sweep(name: str, parameter_range: str, count: int, seed: int,
            draw: Callable[[Lcg64], Any],
-           verify: Callable[[Any], VerificationReport]) -> VerificationReport:
-    """Verify ``count`` draws from one seeded generator, merged into one report."""
+           check: Callable[[VerificationReport, Any], None]) -> VerificationReport:
+    """Check ``count`` draws from one seeded generator, recorded in one report."""
     rng = Lcg64(seed)
     report = VerificationReport(name, parameter_range)
     for _ in range(count):
-        report.absorb(verify(draw(rng)))
+        check(report, draw(rng))
     return report
 
 
@@ -200,12 +195,6 @@ def random_bundle(seed: int) -> ParabolicBundle:
     return _draw_bundle(Lcg64(seed))
 
 
-def _bundle_report(name: str, b: ParabolicBundle) -> VerificationReport:
-    """An empty report headed by the bundle's genus, rank, degree and point count."""
-    return VerificationReport(name, f"g={b.curve.genus} r={b.rank} d={b.degree} "
-                                    f"points={len(b.curve.points)}")
-
-
 def root_line_bundle(genus: int, e: int, i: int, residue_degree: int = 1) -> ParabolicBundle:
     """The i-th root-line power as a bundle: rank 1, degree floor(i/e) * f."""
     point = ParabolicPoint(residue_degree, e, root_line_datum(i, e))
@@ -222,14 +211,13 @@ def brute_flag_dim(w: Weights) -> int:
     )
 
 
-def verify_hom_identity(w: Weights) -> VerificationReport:
+def _check_hom_identity(report: VerificationReport, w: Weights) -> None:
     """Check the endomorphism-datum identity on one weight vector.
 
     The jump-weighted correction of the hom datum, the flag dimension, and
     the brute-force cross sum must agree exactly, and the hom datum must
     start at n_0^2.
     """
-    report = VerificationReport("hom-datum-identity", f"weights {w.entries}")
     e = w.ramification
     m = hom_datum(w).entries
     fd = flag_dim(w)
@@ -238,7 +226,6 @@ def verify_hom_identity(w: Weights) -> VerificationReport:
     report.check(f"{w.entries} flag-vs-brute", fd, brute_flag_dim(w))
     report.check(f"{w.entries} m0", w.rank**2, m[0])
     report.check(f"{w.entries} jumps-sum", w.rank, sum(jumps(w)))
-    return report
 
 
 def hom_identity_suite(count: int, seed: int) -> VerificationReport:
@@ -249,7 +236,7 @@ def hom_identity_suite(count: int, seed: int) -> VerificationReport:
         count, seed,
         # draw order: e, then r, then the weights
         lambda rng: _draw_weights(rng, 1 + rng.below(12), 1 + rng.below(10)),
-        verify_hom_identity,
+        _check_hom_identity,
     )
 
 
@@ -340,20 +327,15 @@ def _sum_images(e: int, q: int, omega: int) -> tuple[list[int], list[int]]:
     return tuple([x - q if 2 * x > q else x for x in row] for row in images)
 
 
-def verify_chi_two_routes(bundle: ParabolicBundle) -> VerificationReport:
+def _check_chi(report: VerificationReport, b: ParabolicBundle,
+               rep: ChiReport | None = None) -> None:
     """Check both Euler characteristic assemblies on one bundle.
 
     Global term plus inertia contributions must equal chi, and chi must
-    equal underlying degree + (1 - g) * rank.
+    equal underlying degree + (1 - g) * rank.  rep is euler_char(b), when
+    the caller has it already.
     """
-    report = _bundle_report("chi-two-routes", bundle)
-    _chi_two_routes(report, bundle, euler_char(bundle))
-    return report
-
-
-def _chi_two_routes(report: VerificationReport, b: ParabolicBundle, rep: ChiReport) -> None:
-    """Record verify_chi_two_routes' checks in report, for a bundle whose
-    euler_char is already rep."""
+    rep = euler_char(b) if rep is None else rep
     pts = [(p.degree, p.ramification) for p in b.curve.points]
     terms = [(1, global_term(rep.stacky_degree, b.rank, b.curve.genus, pts))]
     terms += [(p.degree, inertia_bundle_total(p)) for p in b.curve.points]
@@ -367,7 +349,7 @@ def _chi_two_routes(report: VerificationReport, b: ParabolicBundle, rep: ChiRepo
 def chi_suite(count: int, seed: int) -> VerificationReport:
     """Two-route Euler characteristic check over seeded random bundles."""
     return _sweep("chi-two-routes", f"{count} random bundles, seed {seed}", count, seed,
-                  _draw_bundle, verify_chi_two_routes)
+                  _draw_bundle, _check_chi)
 
 
 def root_line_suite() -> VerificationReport:
@@ -387,38 +369,33 @@ def root_line_suite() -> VerificationReport:
                     stacky = rep.stacky_degree
                     report.check_ratio(f"{params} stacky", i * f, stacky.numerator,
                                        stacky.denominator, expected_den=e)
-                    _chi_two_routes(report, b, rep)
+                    _check_chi(report, b, rep)
     return report
 
 
-def verify_end_chi(bundle: ParabolicBundle) -> VerificationReport:
+def _check_end_chi(report: VerificationReport, b: ParabolicBundle) -> None:
     """Endomorphism Euler characteristic along two routes.
 
     The flag-dimension formula must match euler_char of the hom-datum
     bundle whose stacky degree is zero.
     """
-    b = bundle
-    report = _bundle_report("end-chi-two-routes", b)
     params = f"g={b.curve.genus} r={b.rank} d={b.degree}"
     endo = euler_char(end_bundle(b))
     report.check(f"{params} end-stacky-zero", 0, endo.stacky_degree)
     report.check(f"{params} end-chi", end_euler_char(b), endo.chi)
-    return report
 
 
 def end_chi_suite(count: int, seed: int) -> VerificationReport:
     """Two-route endomorphism chi check over seeded random bundles."""
     return _sweep("end-chi-two-routes", f"{count} random bundles, seed {seed}", count, seed,
-                  _draw_bundle, verify_end_chi)
+                  _draw_bundle, _check_end_chi)
 
 
-def verify_ed_consistency(bundle: ParabolicBundle) -> VerificationReport:
+def _check_ed_consistency(report: VerificationReport, b: ParabolicBundle) -> None:
     """ed_p <= ed upper bound for every p | h, and the gerbe terms sum up.
 
     The essential-dimension formulas need genus >= 2.
     """
-    b = bundle
-    report = _bundle_report("ed-consistency", b)
     upper = ed_upper_bound(b)
     h = upper.h
     params = f"g={b.curve.genus} r={b.rank} d={b.degree} h={h}"
@@ -430,13 +407,12 @@ def verify_ed_consistency(bundle: ParabolicBundle) -> VerificationReport:
         report.check(f"{params} p={p} gerbe-term", gerbe_ed_p(h, p), edp.gerbe_term)
     report.check(f"{params} gerbe-sum", gerbe_ed_upper(h), sum(gerbe_ed_p(h, p) for p in primes))
     report.check(f"{params} h", gerbe_index(b), h)
-    return report
 
 
 def ed_consistency_suite(count: int, seed: int) -> VerificationReport:
-    """verify_ed_consistency over seeded random bundles of genus 2..5."""
+    """_check_ed_consistency over seeded random bundles of genus 2..5."""
     return _sweep("ed-consistency", f"{count} random bundles, seed {seed}, genus >= 2",
-                  count, seed, lambda rng: _draw_bundle(rng, min_genus=2), verify_ed_consistency)
+                  count, seed, lambda rng: _draw_bundle(rng, min_genus=2), _check_ed_consistency)
 
 
 def run_all(e_max: int = 12, random_count: int = 100, seed: int = 1) -> list[VerificationReport]:

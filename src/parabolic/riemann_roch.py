@@ -25,7 +25,6 @@ from .core import (
 )
 from .cyclotomic import inertia_total
 from .errors import InternalInconsistencyError
-from .exact_arith import rational_str
 
 
 @dataclass(frozen=True)
@@ -44,10 +43,10 @@ class ChiReport:
 
     def to_json_obj(self) -> dict:
         return {
-            "chi": rational_str(self.chi),
-            "stacky_degree": rational_str(self.stacky_degree),
-            "classical_part": rational_str(self.classical_part),
-            "corrections": [[str(i), rational_str(c)] for i, c in self.corrections],
+            "chi": str(self.chi),
+            "stacky_degree": str(self.stacky_degree),
+            "classical_part": str(self.classical_part),
+            "corrections": [[str(i), str(c)] for i, c in self.corrections],
         }
 
 

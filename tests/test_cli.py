@@ -357,6 +357,8 @@ def test_empty_pieces_exit_2(tmp_path, command):
 @pytest.mark.parametrize("argv, message", [
     (["--e-max", "151"], "--e-max must be <= 150, got 151"),
     (["--random", "100001"], "--random must be <= 100000, got 100001"),
+    (["--e-max", "1"], "--e-max must be >= 2, got 1"),
+    (["--random", "-1"], "--random must be >= 0, got -1"),
 ])
 def test_verify_ceilings_exit_2_at_once(argv, message):
     start = time.perf_counter()
@@ -385,35 +387,27 @@ def test_every_command_on_the_readme_example(tmp_path, command):
         assert invoke([*argv, "--format", fmt]) == (case["code"], case[fmt], "")
 
 
-def test_verify_default_output_is_pinned():
-    # stdout of a plain `parabolic verify`, recorded before the ED reports
-    # shared one path; CI compares the installed console script with it too
-    golden = (Path(__file__).resolve().parent / "data" / "verify_default.json").read_text()
-    assert invoke(["verify"]) == (0, golden, "")
+# (argv, golden stdout), each recorded before a change to the route it pins:
+# default, before the ED reports shared one path; e40, before the inertia totals
+# moved to split primes; e60 (the README example), before the root-of-unity sums
+# did; e150, before their rows shared one packed reduction; text, before both
+# reports shared one split-prime pass; seed7 (8,000 draws through the random
+# sweeps), before each sweep kept one report.  CI compares the installed
+# console script with every one too.
+GOLDENS = {
+    "verify_default.json": ["verify"],
+    "verify_e40.json": ["verify", "--e-max", "40", "--random", "0"],
+    "verify_e60.json": ["verify", "--e-max", "60"],
+    "verify_e150.json": ["verify", "--e-max", "150", "--random", "0"],
+    "verify_seed7.json": ["verify", "--e-max", "150", "--random", "2000", "--seed", "7"],
+    "verify_default.txt": ["verify", "--format", "text"],
+}
 
 
-def test_verify_e40_output_is_pinned():
-    # stdout of `parabolic verify --e-max 40 --random 0`, recorded before the
-    # inertia totals moved from Q(zeta_e) sums to split primes; CI compares
-    # the installed console script with it too
-    golden = (Path(__file__).resolve().parent / "data" / "verify_e40.json").read_text()
-    assert invoke(["verify", "--e-max", "40", "--random", "0"]) == (0, golden, "")
-
-
-def test_verify_e60_output_is_pinned():
-    # stdout of `parabolic verify --e-max 60`, the README example, recorded
-    # before the root-of-unity sums moved from Q(zeta_e) tables to split
-    # primes; CI compares the installed console script with it too
-    golden = (Path(__file__).resolve().parent / "data" / "verify_e60.json").read_text()
-    assert invoke(["verify", "--e-max", "60"]) == (0, golden, "")
-
-
-def test_verify_text_output_is_pinned():
-    # stdout of `parabolic verify --format text`, recorded before the two
-    # root-of-unity reports shared one split-prime pass; CI compares the
-    # installed console script with it too
-    golden = (Path(__file__).resolve().parent / "data" / "verify_default.txt").read_text()
-    assert invoke(["verify", "--format", "text"]) == (0, golden, "")
+@pytest.mark.parametrize("golden", GOLDENS)
+def test_verify_output_is_pinned(golden):
+    expected = (Path(__file__).resolve().parent / "data" / golden).read_text()
+    assert invoke(GOLDENS[golden]) == (0, expected, "")
 
 
 def _bigprime_loaded_after(statement):

@@ -1,10 +1,11 @@
-"""Fuzz the document commands in-process: every input ends in a clean exit.
+"""Fuzz the CLI in-process: every input ends in a clean exit.
 
 Documents are drawn as valid shapes, valid shapes with one field replaced or
 dropped, arbitrary nested JSON, and raw text; argv adds --prime, --nonsimple
-and --format extras, valid or not.  Whatever the input, no exception may
-escape ``cli.run``, the exit code is 0, 1 or 2, and a non-zero exit leaves
-exactly one ``error:`` line on stderr.
+and --format extras, valid or not.  ``verify`` gets --e-max, --random and
+--seed values in and out of range.  Whatever the input, no exception may
+escape ``cli.run``, the exit code is 0, 1 or 2 (0 or 2 for ``verify``), and a
+non-zero exit leaves no output and exactly one ``error:`` line on stderr.
 """
 
 import io
@@ -12,6 +13,7 @@ import json
 import sys
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
@@ -95,6 +97,14 @@ extras = st.just([]) | st.lists(st.one_of(
 ), min_size=1, max_size=3).map(lambda groups: [arg for group in groups for arg in group])
 
 
+# verify's ranges, one past each ceiling, and literals too long for int(); every
+# valid --e-max is at most 12 and every valid --random at most 5, so a run stays cheap
+E_MAX = st.sampled_from([*map(str, range(-2, 13)), "151", "9" * 5000])
+RANDOM = st.sampled_from([*map(str, range(-1, 6)), "100001"])
+SEED = (st.integers() | st.sampled_from([10**3999, -(10**3999)])).map(str)
+FORMAT = st.sampled_from([[], [], [], ["--format", "xml"]])
+
+
 def _run_on_stdin(argv, text):
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(sys, "stdin", io.StringIO(text)):
@@ -114,9 +124,34 @@ def test_fuzz_covers_every_document_command():
 def test_document_commands_exit_cleanly(command, text, extra):
     code, out, err = _run_on_stdin([command, "-i", "-", *extra], text)
     event(f"exit {code}")
-    assert code in (0, 1, 2)
+    _assert_clean(code, out, err, (0, 1, 2))
+
+
+def _assert_clean(code, out, err, codes):
+    assert code in codes
     if code:
         assert out == ""
         assert sum("error:" in line for line in err.splitlines()) == 1, err
     else:
         assert out and err == ""
+
+
+@settings(max_examples=50, derandomize=True, deadline=2000,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(e_max=E_MAX, count=RANDOM, seed=SEED, fmt=FORMAT)
+def test_verify_argv_exits_cleanly(e_max, count, seed, fmt):
+    argv = ["verify", "--e-max", e_max, "--random", count, "--seed", seed, *fmt]
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run(argv, stdout=out, stderr=err)
+    event(f"exit {code}")
+    _assert_clean(code, out.getvalue(), err.getvalue(), (0, 2))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--seed", "9" * 5001], 2),  # past int()'s 4,300-digit limit: a usage error
+    (["--e-max", "2", "--random", "0", "--seed", "9" * 4000], 0),
+])
+def test_verify_seed_literals(argv, code):
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.run(["verify", *argv], stdout=out, stderr=err) == code
+    _assert_clean(code, out.getvalue(), err.getvalue(), (code,))

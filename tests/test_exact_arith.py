@@ -11,9 +11,7 @@ from parabolic.exact_arith import (
     divisors,
     euler_phi,
     factorize,
-    gcd_list,
     is_prime,
-    rational_str,
     v_p,
 )
 
@@ -29,14 +27,6 @@ def test_v_p_rejects_bad_inputs():
         v_p(12, 4)
     with pytest.raises(InvalidArgumentError):
         v_p(0, 3)
-
-
-def test_gcd_list_examples():
-    assert gcd_list([6, 4, 2]) == 2
-    assert gcd_list([2, 0, 1]) == 1
-    assert gcd_list([]) == 0
-    assert gcd_list([0, 0]) == 0
-    assert gcd_list([7]) == 7
 
 
 def test_factorize_examples():
@@ -96,13 +86,6 @@ def test_rationals_stored_reduced(a):
 
     assert a.denominator > 0
     assert gcd(abs(a.numerator), a.denominator) == 1
-
-
-def test_rational_str():
-    assert rational_str(Fraction(-2, 3)) == "-2/3"
-    assert rational_str(Fraction(5, 1)) == "5"
-    assert rational_str(7) == "7"
-    assert rational_str(Fraction(0)) == "0"
 
 
 def test_euler_phi_matches_counting():

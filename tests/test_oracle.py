@@ -16,6 +16,10 @@ from parabolic.errors import InvalidArgumentError
 from parabolic.oracle import (
     Lcg64,
     VerificationReport,
+    _check_chi,
+    _check_ed_consistency,
+    _check_end_chi,
+    _check_hom_identity,
     _sweep,
     brute_flag_dim,
     chi_suite,
@@ -28,11 +32,14 @@ from parabolic.oracle import (
     root_line_suite,
     root_of_unity_suites,
     run_all,
-    verify_chi_two_routes,
-    verify_ed_consistency,
-    verify_end_chi,
-    verify_hom_identity,
 )
+
+
+def _checked(check, x):
+    """A fresh report holding one per-draw check of x."""
+    report = VerificationReport("single", "one draw")
+    check(report, x)
+    return report
 
 
 def test_lcg_is_deterministic():
@@ -125,8 +132,8 @@ def test_bundle_draws_are_pinned(monkeypatch):
                     (1, 7, (5, 5, 5, 5, 3, 3, 2, 0)))),
     ]
     seen = []
-    monkeypatch.setattr(oracle, "verify_ed_consistency",
-                        lambda b: seen.append(_as_tuple(b)) or VerificationReport("x", "y"))
+    monkeypatch.setattr(oracle, "_check_ed_consistency",
+                        lambda report, b: seen.append(_as_tuple(b)))
     ed_consistency_suite(1, seed=3)
     # the same draws as random_bundle(3) = (0, 5, -4, ...), but genus from 2..5
     assert seen == [(4, 5, -4, ((1, 2, (5, 0, 0)),))]
@@ -139,8 +146,8 @@ def test_brute_flag_dim_examples():
 
 
 def test_verify_hom_identity():
-    assert verify_hom_identity(validate_weights([2, 1, 0])).passed
-    assert verify_hom_identity(validate_weights([6, 0])).passed
+    assert _checked(_check_hom_identity, validate_weights([2, 1, 0])).passed
+    assert _checked(_check_hom_identity, validate_weights([6, 0])).passed
     report = hom_identity_suite(50, seed=7)
     assert report.passed
     assert report.cases >= 200
@@ -288,10 +295,10 @@ def test_chirp_images_match_the_direct_sums():
 
 
 def test_verify_chi_two_routes():
-    assert verify_chi_two_routes(bundle_on(3, 2, 0)).passed
+    assert _checked(_check_chi, bundle_on(3, 2, 0)).passed
     for e in range(1, 6):
         for i in range(e):
-            assert verify_chi_two_routes(root_line_bundle(2, e, i)).passed
+            assert _checked(_check_chi, root_line_bundle(2, e, i)).passed
     assert chi_suite(50, seed=11).passed
 
 
@@ -309,7 +316,7 @@ def test_root_line_suite(monkeypatch):
 
 
 def test_verify_end_chi():
-    assert verify_end_chi(bundle_on(2, 2, 0, [(1, 2, [2, 1, 0])])).passed
+    assert _checked(_check_end_chi, bundle_on(2, 2, 0, [(1, 2, [2, 1, 0])])).passed
     assert end_chi_suite(50, seed=13).passed
 
 
@@ -318,7 +325,7 @@ def test_ed_consistency_suite():
     assert report.passed
     assert report.cases >= 100
     # h = 12: one ed_p<=ed and one gerbe-term check for p = 2 and p = 3, then gerbe-sum and h
-    single = verify_ed_consistency(bundle_on(2, 12, 24, [(1, 2, [12, 12, 0])]))
+    single = _checked(_check_ed_consistency, bundle_on(2, 12, 24, [(1, 2, [12, 12, 0])]))
     assert single.passed and single.cases == 6
 
 
@@ -377,7 +384,7 @@ BREAKS = {
     "inertia_total": (lambda: _offset("inertia_total", Fraction(1, 7)),
                       lambda: _suite_records(root_of_unity_suites(4))),
     "flag_dim": (lambda: _offset("flag_dim", 1),
-                 lambda: [verify_hom_identity(Weights(w)).failures
+                 lambda: [_checked(_check_hom_identity, Weights(w)).failures
                           for w in [(2, 1, 0), (3, 3, 1, 0), (1, 0)]]),
     "root_line.stacky_degree": (lambda: _off_field("stacky_degree", Fraction(1, 2)),
                                 _root_line_records),
@@ -409,13 +416,11 @@ def test_sweep_merges_one_failing_draw():
         seen.append(rng.next_u64())
         return len(seen)
 
-    def verify(index):
-        report = VerificationReport("single", f"draw {index}")
+    def check(report, index):
         report.check(f"draw={index} first", 0, 0)
         report.check(f"draw={index} second", 0, 1 if index == 3 else 0)
-        return report
 
-    merged = _sweep("demo", "5 draws", 5, 42, draw, verify)
+    merged = _sweep("demo", "5 draws", 5, 42, draw, check)
     assert (merged.name, merged.parameter_range, merged.cases) == ("demo", "5 draws", 10)
     assert merged.failures == [{"params": "draw=3 second", "expected": "0", "got": "1"}]
     rng = Lcg64(42)  # every draw comes from one generator, seeded once
