@@ -8,38 +8,34 @@ h = gcd(rank, degree, interior weights).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .core import ParabolicBundle, Weights, flag_dim, flag_total
+from .core import FrozenValue, ParabolicBundle, Weights, flag_dim, flag_total
 from .errors import HypothesisViolationError, InvalidArgumentError
 from .exact_arith import factorize, is_prime, v_p
 
 
-@dataclass(frozen=True)
-class GradedPiece:
+class GradedPiece(FrozenValue):
     """One graded quotient of a nilpotent endomorphism: rank plus weights.
 
     Carries one weight vector per marked point, each starting at the
     piece's rank.
     """
 
-    rank: int
-    weights: tuple[Weights, ...]
+    __slots__ = ("rank", "weights")
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise InvalidArgumentError(f"piece rank must be >= 1, got {self.rank}")
-        for j, w in enumerate(self.weights):
-            if w.rank != self.rank:
-                raise InvalidArgumentError(
-                    f"piece weights at point {j} start at {w.rank}, "
-                    f"but the piece has rank {self.rank}"
-                )
+    def __init__(self, rank: int, weights: tuple[Weights, ...]):
+        if rank < 1:
+            raise InvalidArgumentError(f"piece rank must be >= 1, got {rank}")
+        for j, w in enumerate(weights):
+            if w.rank != rank:
+                raise InvalidArgumentError(f"piece weights at point {j} start at {w.rank}, "
+                                           f"but the piece has rank {rank}")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "weights", weights)
 
 
-@dataclass(frozen=True)
-class EdReport:
+class EdReport(FrozenValue):
     """An essential-dimension bound split into its component terms.
 
     total == base + flag_total + gerbe_term.  ``conjectural`` is True when
@@ -47,25 +43,23 @@ class EdReport:
     unconditional equality.
     """
 
-    h: int
-    base: int
-    flag_total: int
-    gerbe_term: int
-    total: int
-    conjectural: bool
-    prime: int | None = None
+    __slots__ = ("h", "base", "flag_total", "gerbe_term", "total", "conjectural", "prime")
+
+    def __init__(self, h: int, base: int, flag_total: int, gerbe_term: int, total: int,
+                 conjectural: bool, prime: int | None = None):
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "flag_total", flag_total)
+        object.__setattr__(self, "gerbe_term", gerbe_term)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "conjectural", conjectural)
+        object.__setattr__(self, "prime", prime)
 
     def to_json_obj(self) -> dict:
-        obj = {
-            "h": self.h,
-            "base": self.base,
-            "flag_total": self.flag_total,
-            "gerbe_term": self.gerbe_term,
-            "total": self.total,
-            "conjectural": self.conjectural,
-        }
-        if self.prime is not None:
-            obj["prime"] = self.prime
+        """Every field in order; prime only when it is set."""
+        obj = {name: getattr(self, name) for name in self.__slots__}
+        if self.prime is None:
+            del obj["prime"]
         return obj
 
 
@@ -151,15 +145,7 @@ def _ed_report(bundle: ParabolicBundle, gerbe_term: Callable[[int], int],
     base = bundle.rank**2 * (g - 1) + 1
     flags = flag_total(bundle)
     term = gerbe_term(h)
-    return EdReport(
-        h=h,
-        base=base,
-        flag_total=flags,
-        gerbe_term=term,
-        total=base + flags + term,
-        conjectural=conjectural,
-        prime=prime,
-    )
+    return EdReport(h, base, flags, term, base + flags + term, conjectural, prime)
 
 
 def ed_upper_bound(bundle: ParabolicBundle) -> EdReport:

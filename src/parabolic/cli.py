@@ -65,6 +65,8 @@ EXIT_INTERNAL = 4
 # printed product stays below Python's 4300-digit int-to-str limit
 MAX_DOCUMENT_CHARS = 1 << 20
 MAX_INT_DIGITS = 1000
+# verify prints seed + 1 .. seed + 3 into its reports, so they must stay printable
+MAX_SEED_DIGITS = 4000
 # hom-datum (behind hom-datum and end-chi) costs O(e^2) per point: about 0.2 s
 # for one point at this total
 MAX_RAMIFICATION_TOTAL = 1000
@@ -149,20 +151,10 @@ def parse_document(obj: Any) -> tuple[ParabolicBundle, list[GradedPiece] | None]
 
 def document_json(bundle: ParabolicBundle) -> dict:
     """Serialize a bundle back into the input-document schema."""
-    return {
-        "curve": {
-            "genus": bundle.curve.genus,
-            "points": [
-                {
-                    "degree": p.degree,
-                    "ramification": p.ramification,
-                    "weights": p.weights.to_json_obj(),
-                }
-                for p in bundle.curve.points
-            ],
-        },
-        "bundle": {"rank": bundle.rank, "degree": bundle.degree},
-    }
+    points = [{"degree": p.degree, "ramification": p.ramification,
+               "weights": p.weights.to_json_obj()} for p in bundle.curve.points]
+    return {"curve": {"genus": bundle.curve.genus, "points": points},
+            "bundle": {"rank": bundle.rank, "degree": bundle.degree}}
 
 
 def _bounded_int(literal: str) -> int:
@@ -282,6 +274,7 @@ def _verify(args: argparse.Namespace) -> dict:
     # fixed ceilings bound the work: the cost grows as e_max^2, like the case count (~0.4 s at 150)
     e_max = _in_range("--e-max", args.e_max, 2, 150)
     count = _in_range("--random", args.random, 0, 100_000)
+    _in_range("the digit count of --seed", len(str(abs(args.seed))), 1, MAX_SEED_DIGITS)
     reports = run_all(e_max=e_max, random_count=count, seed=args.seed)
     return {"pass": all(r.passed for r in reports),
             "reports": [r.to_json_obj() for r in reports]}

@@ -8,26 +8,56 @@ action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InvalidArgumentError, InvalidWeightsError
 
 
-@dataclass(frozen=True)
-class Weights:
+class FrozenValue:
+    """Base of the immutable value types.  Each subclass lists its fields in
+    ``__slots__`` and sets them in ``__init__`` through object.__setattr__;
+    equality, hash, repr and pickling go by the tuple of fields."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _read_only(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Weights(FrozenValue):
     """Nonincreasing integers (n_0, ..., n_e) with n_e = 0, length e + 1."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        n = self.entries
+    def __init__(self, entries: tuple[int, ...]):
+        n = entries
         if len(n) < 2:
             raise InvalidWeightsError(f"weights need length >= 2, got {n!r}")
         if any(a < b for a, b in zip(n, n[1:])):
             raise InvalidWeightsError(f"weights must be nonincreasing, got {n!r}")
         if n[-1] != 0:
             raise InvalidWeightsError(f"weights must end in 0, got {n!r}")
+        object.__setattr__(self, "entries", entries)
 
     @property
     def ramification(self) -> int:
@@ -106,57 +136,51 @@ def root_line_datum(i: int, e: int) -> Weights:
     return Weights(tuple([1] * (l + 1) + [0] * (e - l)))
 
 
-@dataclass(frozen=True)
-class ParabolicPoint:
+class ParabolicPoint(FrozenValue):
     """One marked closed point: residue degree, ramification index, weights."""
 
-    degree: int
-    ramification: int
-    weights: Weights
+    __slots__ = ("degree", "ramification", "weights")
 
-    def __post_init__(self):
-        if self.degree < 1:
-            raise InvalidArgumentError(f"point degree must be >= 1, got {self.degree}")
-        if self.ramification < 1:
-            raise InvalidArgumentError(
-                f"ramification index must be >= 1, got {self.ramification}"
-            )
-        if self.weights.ramification != self.ramification:
-            raise InvalidArgumentError(
-                f"weights length {len(self.weights.entries)} does not match "
-                f"ramification index {self.ramification}"
-            )
+    def __init__(self, degree: int, ramification: int, weights: Weights):
+        if degree < 1:
+            raise InvalidArgumentError(f"point degree must be >= 1, got {degree}")
+        if ramification < 1:
+            raise InvalidArgumentError(f"ramification index must be >= 1, got {ramification}")
+        if weights.ramification != ramification:
+            raise InvalidArgumentError(f"weights length {len(weights.entries)} does not "
+                                       f"match ramification index {ramification}")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "ramification", ramification)
+        object.__setattr__(self, "weights", weights)
 
 
-@dataclass(frozen=True)
-class OrbifoldCurve:
+class OrbifoldCurve(FrozenValue):
     """A smooth projective curve of genus g with marked orbifold points."""
 
-    genus: int
-    points: tuple[ParabolicPoint, ...] = ()
+    __slots__ = ("genus", "points")
 
-    def __post_init__(self):
-        if self.genus < 0:
-            raise InvalidArgumentError(f"genus must be >= 0, got {self.genus}")
+    def __init__(self, genus: int, points: tuple[ParabolicPoint, ...] = ()):
+        if genus < 0:
+            raise InvalidArgumentError(f"genus must be >= 0, got {genus}")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "points", points)
 
 
-@dataclass(frozen=True)
-class ParabolicBundle:
+class ParabolicBundle(FrozenValue):
     """A parabolic bundle: curve, rank, and degree of the underlying bundle."""
 
-    curve: OrbifoldCurve
-    rank: int
-    degree: int
+    __slots__ = ("curve", "rank", "degree")
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise InvalidArgumentError(f"rank must be >= 1, got {self.rank}")
-        for idx, p in enumerate(self.curve.points):
-            if p.weights.rank != self.rank:
-                raise InvalidArgumentError(
-                    f"point {idx}: weights start at {p.weights.rank}, "
-                    f"but the bundle has rank {self.rank}"
-                )
+    def __init__(self, curve: OrbifoldCurve, rank: int, degree: int):
+        if rank < 1:
+            raise InvalidArgumentError(f"rank must be >= 1, got {rank}")
+        for idx, p in enumerate(curve.points):
+            if p.weights.rank != rank:
+                raise InvalidArgumentError(f"point {idx}: weights start at {p.weights.rank}, "
+                                           f"but the bundle has rank {rank}")
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "degree", degree)
 
 
 def bundle_on(
@@ -169,7 +193,5 @@ def bundle_on(
 
     Each point is a (residue degree, ramification index, weights) triple.
     """
-    pts = tuple(
-        ParabolicPoint(f, e, validate_weights(w)) for f, e, w in points
-    )
+    pts = tuple(ParabolicPoint(f, e, validate_weights(w)) for f, e, w in points)
     return ParabolicBundle(OrbifoldCurve(genus, pts), rank, degree)

@@ -13,11 +13,11 @@ against the exact value of its sum, recovered at one split prime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from .core import FrozenValue
 from .errors import InternalInconsistencyError, InvalidArgumentError
 from .exact_arith import divisors
 
@@ -186,17 +186,19 @@ def _rational(x: object) -> Fraction | None:
     return Fraction(x) if isinstance(x, (int, Fraction)) else None
 
 
-@dataclass(frozen=True)
-class CycloElem:
+class CycloElem(FrozenValue):
     """An element of Q(zeta_e): (num[0] + num[1] zeta + ... ) / den.
 
-    Always normalised (den > 0, gcd(den, *num) == 1), so dataclass equality
-    is field equality.
+    Always normalised (den > 0, gcd(den, *num) == 1), so equality of the
+    (field, num, den) fields is equality in the field.
     """
 
-    field: CycloField
-    num: tuple[int, ...]
-    den: int = 1
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: CycloField, num: tuple[int, ...], den: int = 1):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

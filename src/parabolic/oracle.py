@@ -29,7 +29,6 @@ Sampling ranges are fixed; a random suite takes only a case count and a seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -96,14 +95,14 @@ class Lcg64:
                 return r % n
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one identity sweep: pass iff no failures were recorded."""
 
-    name: str
-    parameter_range: str
-    cases: int = 0
-    failures: list[dict] = field(default_factory=list)
+    def __init__(self, name: str, parameter_range: str):
+        self.name = name
+        self.parameter_range = parameter_range
+        self.cases = 0
+        self.failures: list[dict] = []
 
     @property
     def passed(self) -> bool:
@@ -112,9 +111,7 @@ class VerificationReport:
     def check(self, params: str, expected: object, got: object) -> None:
         self.cases += 1
         if expected != got:
-            self.failures.append(
-                {"params": params, "expected": str(expected), "got": str(got)}
-            )
+            self.failures.append({"params": params, "expected": str(expected), "got": str(got)})
 
     def check_ratio(self, params: str, expected: Fraction | int, num: int, den: int,
                     expected_den: int = 1) -> None:
@@ -204,11 +201,7 @@ def root_line_bundle(genus: int, e: int, i: int, residue_degree: int = 1) -> Par
 def brute_flag_dim(w: Weights) -> int:
     """Flag dimension by the cross-product jump sum over pairs i < j."""
     delta = jumps(w)
-    return sum(
-        delta[i] * delta[j]
-        for i in range(len(delta))
-        for j in range(i + 1, len(delta))
-    )
+    return sum(delta[i] * delta[j] for i in range(len(delta)) for j in range(i + 1, len(delta)))
 
 
 def _check_hom_identity(report: VerificationReport, w: Weights) -> None:
@@ -314,7 +307,7 @@ def _sum_images(e: int, q: int, omega: int) -> tuple[list[int], list[int]]:
         powers[j] = powers[j - 1] * omega % q
     width = ((e * q * q).bit_length() + 7) // 8
     def pack(row):
-        return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in row), "little")
+        return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in row]), "little")
     chirp = pack(powers[n * (n - 1) // 2 % e] for n in range(2 * e - 1))
     unchirp = [powers[-(n * (n - 1) // 2) % e] for n in range(e)]  # omega^(-T(n))
     images = []

@@ -11,11 +11,11 @@ built from integer numerators over a common denominator (a multiple of lcm(e_i))
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .core import (
+    FrozenValue,
     OrbifoldCurve,
     ParabolicBundle,
     ParabolicPoint,
@@ -27,8 +27,7 @@ from .cyclotomic import inertia_total
 from .errors import InternalInconsistencyError
 
 
-@dataclass(frozen=True)
-class ChiReport:
+class ChiReport(FrozenValue):
     """Euler characteristic of a bundle with its constituent terms.
 
     Invariant: chi == stacky_degree + (1 - g) * rank - sum of
@@ -36,10 +35,14 @@ class ChiReport:
     corrections.
     """
 
-    chi: Fraction
-    stacky_degree: Fraction
-    classical_part: Fraction
-    corrections: tuple[tuple[int, Fraction], ...]
+    __slots__ = ("chi", "stacky_degree", "classical_part", "corrections")
+
+    def __init__(self, chi: Fraction, stacky_degree: Fraction, classical_part: Fraction,
+                 corrections: tuple[tuple[int, Fraction], ...]):
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "stacky_degree", stacky_degree)
+        object.__setattr__(self, "classical_part", classical_part)
+        object.__setattr__(self, "corrections", corrections)
 
     def to_json_obj(self) -> dict:
         return {

@@ -410,12 +410,12 @@ def test_verify_output_is_pinned(golden):
     assert invoke(GOLDENS[golden]) == (0, expected, "")
 
 
-def _bigprime_loaded_after(statement):
+def _loaded_after(statement, module):
     # runs the statement in a fresh interpreter, importing this checkout's package
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    probe = f"import sys, parabolic.cli; {statement}; print('parabolic.bigprime' in sys.modules)"
+    probe = f"import sys, parabolic.cli; {statement}; print({module!r} in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     return result.stdout.splitlines()[-1] == "True"
@@ -423,17 +423,31 @@ def _bigprime_loaded_after(statement):
 
 def test_importing_the_cli_leaves_bigprime_unloaded():
     # document commands pay for every module the CLI imports at start-up
-    assert not _bigprime_loaded_after("pass")
+    assert not _loaded_after("pass", "parabolic.bigprime")
 
 
 def test_verify_leaves_bigprime_unloaded():
     # every split prime for e <= 101 is below 1024^2, so trial division decides it;
     # from e = 102 on, q > e^3 passes 2^20 and Miller-Rabin runs
-    assert not _bigprime_loaded_after(
+    assert not _loaded_after(
         "import io; out = io.StringIO(); "
         "assert parabolic.cli.run(['verify'], out, out) == 0; "
         "assert parabolic.cli.run(['verify', '--e-max', '40', '--random', '0'], out, out) == 0; "
-        "assert parabolic.cli.run(['verify', '--e-max', '101', '--random', '0'], out, out) == 0"
+        "assert parabolic.cli.run(['verify', '--e-max', '101', '--random', '0'], out, out) == 0",
+        "parabolic.bigprime",
+    )
+
+
+@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
+def test_chi_and_verify_leave_the_start_up_import_set(module):
+    # dataclasses with inspect, ast, dis and tokenize cost about 15 ms of every process
+    doc = json.dumps(CHI_DOC)
+    assert not _loaded_after(
+        "import io; out = io.StringIO(); "
+        f"sys.stdin = io.StringIO({doc!r}); "
+        "assert parabolic.cli.run(['chi', '-i', '-'], out, out) == 0; "
+        "assert parabolic.cli.run(['verify'], out, out) == 0",
+        module,
     )
 
 

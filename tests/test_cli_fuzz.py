@@ -150,6 +150,10 @@ def test_verify_argv_exits_cleanly(e_max, count, seed, fmt):
 @pytest.mark.parametrize("argv, code", [
     (["--seed", "9" * 5001], 2),  # past int()'s 4,300-digit limit: a usage error
     (["--e-max", "2", "--random", "0", "--seed", "9" * 4000], 0),
+    (["--e-max", "2", "--random", "0", "--seed", "-" + "9" * 4000], 0),
+    # within int()'s limit, but seed + 1 .. seed + 3 would not print: refused
+    (["--e-max", "2", "--random", "0", "--seed", "9" * 4300], 2),
+    (["--e-max", "2", "--random", "0", "--seed", "-" + "9" * 4300], 2),
 ])
 def test_verify_seed_literals(argv, code):
     out, err = io.StringIO(), io.StringIO()

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import json
 import math
 import os
@@ -33,6 +32,7 @@ from parabolic.oracle import (
     root_of_unity_suites,
     run_all,
 )
+from parabolic.riemann_roch import ChiReport
 
 
 def _checked(check, x):
@@ -351,7 +351,10 @@ def _off_field(field, off):
 
     def broken(b):
         rep = true_euler_char(b)
-        return dataclasses.replace(rep, **{field: getattr(rep, field) + off})
+        values = {"chi": rep.chi, "stacky_degree": rep.stacky_degree,
+                  "classical_part": rep.classical_part, "corrections": rep.corrections}
+        values[field] += off
+        return ChiReport(**values)
     return "euler_char", broken
 
 
