@@ -375,9 +375,26 @@ def _end_chi_records():
     return [(r := end_chi_suite(3, 3)).cases, r.failures]
 
 
+def _ed_records():
+    return [(r := ed_consistency_suite(8, 4)).cases, r.failures]
+
+
+def _larger_ed_p_total():
+    true_ed_p_value = oracle.ed_p_value
+
+    def broken(b, p):
+        rep = true_ed_p_value(b, p)
+        return bounds.EdReport(rep.h, rep.base, rep.flag_total, rep.gerbe_term, rep.total + 1,
+                               rep.conjectural, rep.prime)
+    return "ed_p_value", broken
+
+
 # (break, records): tests/data/failure_records.json pins each record list, with
 # the params, expected and got of every failure in that order
 BREAKS = {
+    # a Fraction closed form against an integer image
+    "geometric_sum": (lambda: _offset("geometric_sum", Fraction(1, 2)),
+                      lambda: _suite_records(root_of_unity_suites(4))),
     "inverse_sum": (lambda: _offset("inverse_sum", Fraction(1, 3)),
                     lambda: _suite_records(root_of_unity_suites(4))),
     "shifted_sum": (lambda: _offset("shifted_sum", 1),
@@ -399,6 +416,10 @@ BREAKS = {
     "chi_suite.chi": (lambda: _off_field("chi", 1), _chi_records),
     "end_chi_suite.chi": (lambda: _off_field("chi", 1), _end_chi_records),
     "end_euler_char": (lambda: _offset("end_euler_char", Fraction(1, 2)), _end_chi_records),
+    # bool records: "True" expected, "False" got
+    "ed_p_value.total": (_larger_ed_p_total, _ed_records),
+    # int records: the gerbe-term and gerbe-sum checks
+    "gerbe_ed_p": (lambda: _offset("gerbe_ed_p", 1), _ed_records),
 }
 PINNED_RECORDS = Path(__file__).parent / "data" / "failure_records.json"
 
