@@ -67,9 +67,12 @@ MAX_DOCUMENT_CHARS = 1 << 20
 MAX_INT_DIGITS = 1000
 # verify prints seed + 1 .. seed + 3 into its reports, so they must stay printable
 MAX_SEED_DIGITS = 4000
-# hom-datum (behind hom-datum and end-chi) costs O(e^2) per point: about 0.2 s
-# for one point at this total
+# bounds the length of every weight vector and of every per-point loop
 MAX_RAMIFICATION_TOTAL = 1000
+# hom-datum multiplies every pair of jumps at each point, about e^2 products of
+# numbers as long as the rank: at this cap on the sum of e^2 times the rank's
+# digit count, one document takes at most about 0.15 s in-process (2-vCPU host)
+_MAX_HOM_DATUM_WORK = 10**7
 
 
 def _require(obj: Any, key: str, where: str) -> Any:
@@ -193,18 +196,13 @@ def _render_text(payload: dict | list, indent: str = "") -> list[str]:
         pairs = [("-", item) for item in payload]
     lines: list[str] = []
     for label, value in pairs:
-        if isinstance(value, (dict, list)) and value and not _is_flat(value):
+        if isinstance(value, dict) and value or isinstance(value, list) and any(
+                isinstance(v, (dict, list)) for v in value):
             lines.append(f"{indent}{label}")
             lines.extend(_render_text(value, indent + "  "))
         else:
             lines.append(f"{indent}{label} {_flat(value)}")
     return lines
-
-
-def _is_flat(value: Any) -> bool:
-    if isinstance(value, list):
-        return all(not isinstance(v, (dict, list)) for v in value)
-    return False
 
 
 def _flat(value: Any) -> str:
@@ -270,6 +268,16 @@ def _trdeg_bound(args: argparse.Namespace) -> dict:
     return {"trdeg_bound": value, "mode": "indecomposable"}
 
 
+def _hom_datum(args: argparse.Namespace) -> dict:
+    bundle = _bundle(args)
+    squares = sum(p.ramification**2 for p in bundle.curve.points)
+    digits = len(str(bundle.rank))
+    if squares * digits > _MAX_HOM_DATUM_WORK:
+        raise InputError(f"hom-datum needs the squared ramification indices ({squares}) times "
+                         f"the rank's digit count ({digits}) to be at most {_MAX_HOM_DATUM_WORK}")
+    return document_json(end_bundle(bundle))
+
+
 def _verify(args: argparse.Namespace) -> dict:
     # fixed ceilings bound the work: the cost grows as e_max^2, like the case count (~0.4 s at 150)
     e_max = _in_range("--e-max", args.e_max, 2, 150)
@@ -295,8 +303,7 @@ COMMANDS: dict[str, tuple[str, tuple, Callable[[argparse.Namespace], dict]]] = {
     "end-chi": ("Euler characteristic of the endomorphism bundle", _DOC,
                 lambda a: {"end_chi": str(end_euler_char(_bundle(a)))}),
     "flag-dim": ("flag dimensions at each point and their weighted total", _DOC, _flag_dim),
-    "hom-datum": ("document for the endomorphism bundle", _DOC,
-                  lambda a: document_json(end_bundle(_bundle(a)))),
+    "hom-datum": ("document for the endomorphism bundle", _DOC, _hom_datum),
     "stacky-degree": ("degree measured on the orbifold", _DOC,
                       lambda a: {"stacky_degree": str(stacky_degree(_bundle(a)))}),
     "index": ("gerbe index h = gcd(rank, degree, interior weights)", _DOC,

@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 
 from .core import FrozenValue
 from .errors import InternalInconsistencyError, InvalidArgumentError
-from .exact_arith import divisors
 
 
 def cyclotomic_poly(e: int) -> tuple[int, ...]:
@@ -36,8 +35,9 @@ def cyclotomic_poly(e: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _cyclo_poly(e: int) -> tuple[int, ...]:
     num = [-1] + [0] * (e - 1) + [1]
-    for d in divisors(e)[:-1]:
-        num = _int_poly_exact_div(num, _cyclo_poly(d))
+    for d in range(1, e):
+        if e % d == 0:
+            num = _int_poly_exact_div(num, _cyclo_poly(d))
     return tuple(num)
 
 

@@ -1,11 +1,4 @@
-"""Exact integer arithmetic: primality, factorization, valuations and divisors.
-
-Rational values throughout the package are ``fractions.Fraction`` instances:
-arbitrary precision, always stored reduced with a positive denominator, so
-equality is structural and every operation is exact.  Sums of many small
-rationals, as in ``riemann_roch``, add integer numerators over one common
-denominator and build one ``Fraction`` per value, not one per term.
-"""
+"""Exact integer arithmetic: primality, factorization, valuations and Euler's totient."""
 
 from __future__ import annotations
 
@@ -91,13 +84,3 @@ def euler_phi(n: int) -> int:
     for p, a in factorize(n):
         phi *= (p - 1) * p ** (a - 1)
     return phi
-
-
-def divisors(n: int) -> list[int]:
-    """Sorted list of the positive divisors of n."""
-    if n < 1:
-        raise InvalidArgumentError(f"divisors requires n >= 1, got {n}")
-    divs = [1]
-    for p, a in factorize(n):
-        divs = [d * p**k for d in divs for k in range(a + 1)]
-    return sorted(divs)

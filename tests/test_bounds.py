@@ -82,6 +82,8 @@ def test_nil_dimension_validation():
     with pytest.raises(InvalidArgumentError):
         GradedPiece(2, (validate_weights([3, 1, 0]),))
     with pytest.raises(InvalidArgumentError):
+        GradedPiece(0, ())
+    with pytest.raises(InvalidArgumentError):
         nil_dimension(2, [_piece(2, [2, 1, 0])], [1, 1])
 
 
@@ -97,6 +99,8 @@ def test_trdeg_bound_indecomposable_examples():
     assert trdeg_bound_indecomposable(0, [1], 0) == 0
     with pytest.raises(InvalidArgumentError):
         trdeg_bound_indecomposable(2, [], 0)
+    with pytest.raises(InvalidArgumentError):
+        trdeg_bound_indecomposable(2, [2, 0], 1)
 
 
 def test_trdeg_bound_nonsimple_examples():

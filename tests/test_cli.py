@@ -297,6 +297,22 @@ def test_non_integer_piece_weight_exits_2(tmp_path):
     assert err == "error: pieces[0].weights_per_point[0] must be a list of integers\n"
 
 
+@pytest.mark.parametrize("weights_per_point, message", [
+    ([], "pieces[0].weights_per_point must list one weight vector per curve point "
+         "(1 expected)"),
+    ([[2, 1, 1, 0], [2, 1, 1, 0]], "pieces[0].weights_per_point must list one weight vector "
+                                   "per curve point (1 expected)"),
+    ([[2, 1, 0]], "pieces[0].weights_per_point[0] must have length 4 to match the point's "
+                  "ramification"),
+])
+def test_piece_weights_not_matching_the_points_exit_2(tmp_path, weights_per_point, message):
+    doc = dict(CHI_DOC, pieces=[{"rank": 2, "weights_per_point": weights_per_point}])
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(["nil-dim", "-i", str(path)])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_non_utf8_input_exits_2(tmp_path):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe{\x00}\x00")
@@ -486,6 +502,41 @@ def test_ramification_total_at_cap_is_accepted(tmp_path):
     assert json.loads(out)["curve"]["points"][0]["ramification"] == 1000
     code, out, err = invoke(["end-chi", "-i", str(path)])
     assert code == 0 and err == ""
+
+
+def _one_point_doc(e, jump):
+    # one point of order e with every jump equal, so the rank is e * jump
+    w = [(e - j) * jump for j in range(e + 1)]
+    return {"curve": {"genus": 2, "points": [{"degree": 1, "ramification": e, "weights": w}]},
+            "bundle": {"rank": w[0], "degree": 0}}
+
+
+def test_hom_datum_of_the_largest_document_exits_2_at_once(tmp_path):
+    # under every other cap: e = 1000, a 1000-digit rank and jumps of 10^996, whose
+    # e^2 products would take hom-datum about 15 s
+    path = tmp_path / "worst.json"
+    path.write_text(json.dumps(_one_point_doc(1000, 10**996)))
+    assert path.stat().st_size <= cli.MAX_DOCUMENT_CHARS
+    start = time.perf_counter()
+    code, out, err = invoke(["hom-datum", "-i", str(path)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: hom-datum needs the squared ramification indices (1000000) times "
+                   "the rank's digit count (1000) to be at most 10000000\n")
+    # the cap is hom-datum's own: chi and end-chi do O(e) work on the same document
+    for command in ("chi", "end-chi"):
+        assert invoke([command, "-i", str(path)])[0] == 0
+
+
+@pytest.mark.parametrize("e, jump, code", [
+    (100, 10**997, 0), (1000, 10**6, 0),  # e^2 times the rank's digits at the cap
+    (1000, 10**7, 2), (101, 10**997, 2),
+])
+def test_hom_datum_work_cap(tmp_path, e, jump, code):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_one_point_doc(e, jump)))
+    got, out, err = invoke(["hom-datum", "-i", str(path)])
+    assert (got, bool(out), bool(err)) == (code, code == 0, code == 2)
 
 
 def test_run_writes_argparse_output_to_its_streams(capsys):

@@ -147,6 +147,8 @@ def test_point_validation():
         ParabolicPoint(0, 2, w)
     with pytest.raises(InvalidArgumentError):
         ParabolicPoint(1, 3, w)
+    with pytest.raises(InvalidArgumentError):
+        ParabolicPoint(1, 0, w)
 
 
 def test_curve_and_bundle_validation():

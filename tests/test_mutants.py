@@ -72,6 +72,9 @@ MUTANTS = {
     "gerbe_ed_p without - 1": (
         [("bounds.py", "return p ** v_p(n, p) - 1", "return p ** v_p(n, p)")],
         RECORD, ("ed-consistency",)),
+    "ed base without + 1": (
+        [("bounds.py", "base = bundle.rank**2 * (g - 1) + 1", "base = bundle.rank**2 * (g - 1)")],
+        RECORD, ("ed-consistency",)),
     "v_p + 1 with another prime": (
         [("exact_arith.py", "        a += 1\n    return a", "        a += 1\n    return a + (n > 1)")],
         RECORD, ("ed-consistency",)),
@@ -94,9 +97,6 @@ MUTANTS = {
         [("exact_arith.py", "if n > 1:\n        out.append((n, 1))",
           "if n > 3:\n        out.append((n, 1))")],
         INTERNAL, ()),
-    "ed base without + 1": (
-        [("bounds.py", "base = bundle.rank**2 * (g - 1) + 1", "base = bundle.rank**2 * (g - 1)")],
-        PASS, ()),
     "gerbe_index without the degree": (
         [("bounds.py", "values = [bundle.rank, abs(bundle.degree)]", "values = [bundle.rank]")],
         PASS, ()),

@@ -324,7 +324,8 @@ def test_ed_consistency_suite():
     report = ed_consistency_suite(50, seed=17)
     assert report.passed
     assert report.cases >= 100
-    # h = 12: one ed_p<=ed and one gerbe-term check for p = 2 and p = 3, then gerbe-sum and h
+    # h = 12: one ed_p<=ed and one gerbe-term check for p = 2 and p = 3, then gerbe-sum
+    # and moduli-dim
     single = _checked(_check_ed_consistency, bundle_on(2, 12, 24, [(1, 2, [12, 12, 0])]))
     assert single.passed and single.cases == 6
 
@@ -420,6 +421,8 @@ BREAKS = {
     "ed_p_value.total": (_larger_ed_p_total, _ed_records),
     # int records: the gerbe-term and gerbe-sum checks
     "gerbe_ed_p": (lambda: _offset("gerbe_ed_p", 1), _ed_records),
+    # the moduli-dim check: chi of the endomorphism bundle
+    "ed_consistency.chi": (lambda: _off_field("chi", 1), _ed_records),
 }
 PINNED_RECORDS = Path(__file__).parent / "data" / "failure_records.json"
 
