@@ -403,6 +403,12 @@ def test_every_command_on_the_readme_example(tmp_path, command):
         assert invoke([*argv, "--format", fmt]) == (case["code"], case[fmt], "")
 
 
+def test_readme_library_example_runs():
+    text = README.read_text()
+    start = text.index("```python\n") + len("```python\n")
+    exec(compile(text[start:text.index("```", start)], "README.md", "exec"), {})
+
+
 # (argv, golden stdout), each recorded before a change to the route it pins:
 # default, before the ED reports shared one path; e40, before the inertia totals
 # moved to split primes; e60 (the README example), before the root-of-unity sums

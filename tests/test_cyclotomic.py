@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parabolic.cyclotomic import (
+    CycloField,
     cyclo_field,
     cyclotomic_poly,
     geometric_sum,
@@ -56,6 +57,16 @@ def test_cyclotomic_product_reconstructs_x_pow_e_minus_1():
             if e % d == 0:
                 prod = _poly_mul_int(prod, list(cyclotomic_poly(d)))
         assert prod == [-1] + [0] * (e - 1) + [1]
+
+
+def test_cyclotomic_poly_is_the_field_modulus():
+    for e in range(1, 61):
+        assert cyclotomic_poly(e) == cyclo_field(e).modulus
+    with pytest.raises(InvalidArgumentError, match=r"^cyclotomic_poly requires e >= 1, got 0$"):
+        cyclotomic_poly(0)
+    with pytest.raises(InvalidArgumentError, match=r"^field order must be >= 1, got 0$"):
+        CycloField(0)
+    assert repr(cyclo_field(5)) == "CycloField(5)"
 
 
 def test_cyclotomic_degree_is_totient():
@@ -111,6 +122,37 @@ def test_field_arithmetic_properties(e, data):
     assert a * f.one() == a
 
 
+RATIONALS = st.one_of(st.integers(min_value=-20, max_value=20),
+                      st.fractions(min_value=-5, max_value=5, max_denominator=12))
+
+
+@given(st.integers(min_value=1, max_value=20), RATIONALS, st.data())
+@settings(max_examples=100, deadline=None)
+def test_rational_operands_act_as_field_elements(e, q, data):
+    # an int or Fraction operand gives the same element as its from_rational image
+    f = cyclo_field(e)
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    a = f.from_cover([data.draw(coeffs) for _ in range(f.degree)])
+    r = f.from_rational(q)
+    pairs = [(a * q, a * r), (q * a, r * a), (a + q, a + r), (q - a, r - a)]
+    if q:
+        pairs.append((a / q, a / r))
+    if any(a.num):
+        pairs.append((q / a, r / a))
+    for got, want in pairs:
+        assert got == want
+        _assert_normalised(got)
+
+
+def test_operators_refuse_other_operands():
+    z = cyclo_field(5).zeta()
+    with pytest.raises(TypeError):
+        z + "x"
+    with pytest.raises(TypeError):
+        z * "x"
+    assert z ** -2 == z.inverse() ** 2
+
+
 def test_geometric_sum_examples():
     assert geometric_sum(4, 2) == -1
     assert geometric_sum(5, 0) == 4
@@ -141,6 +183,11 @@ def test_shifted_sum_examples():
     assert shifted_sum(2, 1) == Fraction(1, 2)
     assert shifted_sum(3, 3) == -1
     assert shifted_sum(4, 2) == Fraction(1, 2)
+    for e in (2, 5):
+        for d in (0, e + 1):
+            with pytest.raises(InvalidArgumentError,
+                               match=rf"^shifted_sum requires 0 < d <= e, got d={d}$"):
+                shifted_sum(e, d)
 
 
 def test_shifted_sum_at_e_equals_inverse_sum():
@@ -165,12 +212,25 @@ def test_inertia_term_rejects_vanishing_denominator():
         inertia_term(4, 1, 4)
 
 
+def test_inertia_term_rejects_i_and_d_out_of_range():
+    for e in (2, 5):
+        for i in (-1, e + 1):
+            with pytest.raises(InvalidArgumentError,
+                               match=rf"^inertia_term requires 0 < i < e, got i={i}$"):
+                inertia_term(e, 0, i)
+        with pytest.raises(InvalidArgumentError,
+                           match=rf"^inertia_term requires 0 <= d < e, got d={e}$"):
+            inertia_term(e, e, 1)
+
+
 def test_inertia_total_examples():
     assert inertia_total(2, 0) == Fraction(1, 4)
     assert inertia_total(3, 1) == 0
     assert inertia_total(1, 0) == 0
     with pytest.raises(InvalidArgumentError):
         inertia_total(3, 3)
+    with pytest.raises(InvalidArgumentError, match=r"^inertia_total requires e >= 1, got 0$"):
+        inertia_total(0, 0)
 
 
 def test_inertia_terms_sum_to_total_small():
