@@ -52,7 +52,6 @@ from .errors import (
     InvalidWeightsError,
 )
 from .exact_arith import (
-    euler_phi,
     factorize,
     is_prime,
     v_p,
@@ -94,7 +93,6 @@ __all__ = [
     "end_bundle",
     "end_euler_char",
     "euler_char",
-    "euler_phi",
     "factorize",
     "flag_dim",
     "flag_total",

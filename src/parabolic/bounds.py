@@ -8,7 +8,7 @@ h = gcd(rank, degree, interior weights).
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import FrozenValue, ParabolicBundle, Weights, flag_dim, flag_total
 from .errors import HypothesisViolationError, InvalidArgumentError
@@ -135,17 +135,17 @@ def trdeg_bound_nonsimple(genus: int, rank: int, flag_total: int) -> int:
     return (genus - 1) * (rank**2 - rank) + 2 + flag_total
 
 
-def _ed_report(bundle: ParabolicBundle, gerbe_term: Callable[[int], int],
-               conjectural: bool, prime: int | None = None) -> EdReport:
-    """ED = r^2 (g - 1) + 1 + flag_total + gerbe_term(h); requires genus >= 2."""
+def _ed_report(bundle: ParabolicBundle, prime: int | None = None) -> EdReport:
+    """r^2 (g - 1) + 1 + flag_total + the gerbe term of h: the conjectural upper
+    bound when prime is None, else ED_p.  Requires genus >= 2."""
     g = bundle.curve.genus
     if g < 2:
         raise HypothesisViolationError(f"ed bounds require genus >= 2, got {g}")
     h = gerbe_index(bundle)
     base = bundle.rank**2 * (g - 1) + 1
     flags = flag_total(bundle)
-    term = gerbe_term(h)
-    return EdReport(h, base, flags, term, base + flags + term, conjectural, prime)
+    term = gerbe_ed_upper(h) if prime is None else gerbe_ed_p(h, prime)
+    return EdReport(h, base, flags, term, base + flags + term, prime is None, prime)
 
 
 def ed_upper_bound(bundle: ParabolicBundle) -> EdReport:
@@ -155,7 +155,7 @@ def ed_upper_bound(bundle: ParabolicBundle) -> EdReport:
     an equality modulo an open conjecture, hence marked conjectural.
     Requires genus >= 2.
     """
-    return _ed_report(bundle, gerbe_ed_upper, conjectural=True)
+    return _ed_report(bundle)
 
 
 def ed_p_value(bundle: ParabolicBundle, p: int) -> EdReport:
@@ -166,4 +166,4 @@ def ed_p_value(bundle: ParabolicBundle, p: int) -> EdReport:
     """
     if not is_prime(p):
         raise InvalidArgumentError(f"ed_p_value requires a prime, got {p}")
-    return _ed_report(bundle, lambda h: gerbe_ed_p(h, p), conjectural=False, prime=p)
+    return _ed_report(bundle, p)

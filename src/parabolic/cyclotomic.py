@@ -22,23 +22,10 @@ from .errors import InternalInconsistencyError, InvalidArgumentError
 
 
 def cyclotomic_poly(e: int) -> tuple[int, ...]:
-    """Coefficients of Phi_e, constant term first.
-
-    Computed by exact integer division of x^e - 1 by the product of
-    Phi_d over the proper divisors d of e.
-    """
+    """Coefficients of Phi_e, constant term first: the modulus of cyclo_field(e)."""
     if e < 1:
         raise InvalidArgumentError(f"cyclotomic_poly requires e >= 1, got {e}")
-    return _cyclo_poly(e)
-
-
-@lru_cache(maxsize=None)
-def _cyclo_poly(e: int) -> tuple[int, ...]:
-    num = [-1] + [0] * (e - 1) + [1]
-    for d in range(1, e):
-        if e % d == 0:
-            num = _int_poly_exact_div(num, _cyclo_poly(d))
-    return tuple(num)
+    return cyclo_field(e).modulus
 
 
 def _int_poly_exact_div(num: list[int], den: Sequence[int]) -> list[int]:
@@ -91,6 +78,9 @@ def _poly_inverse(a: Sequence[int], modulus: Sequence[int]) -> tuple[list[int], 
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    # loop over the sparser factor: a rational or a monomial costs O(len) steps
+    if a.count(0) < b.count(0):
+        a, b = b, a
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -112,7 +102,12 @@ class CycloField:
         if e < 1:
             raise InvalidArgumentError(f"field order must be >= 1, got {e}")
         self.e = e
-        self.modulus = cyclotomic_poly(e)
+        # x^e - 1 divided exactly by Phi_d for every proper divisor d of e
+        num = [-1] + [0] * (e - 1) + [1]
+        for d in range(1, e):
+            if e % d == 0:
+                num = _int_poly_exact_div(num, cyclo_field(d).modulus)
+        self.modulus = tuple(num)
         self.degree = len(self.modulus) - 1
         # the nonzero non-leading terms of Phi_e, all that reduction touches
         self._terms = tuple((j, c) for j, c in enumerate(self.modulus[:-1]) if c)
@@ -182,10 +177,6 @@ def _normalised(field: CycloField, num: list[int], den: int) -> "CycloElem":
     return CycloElem(field, tuple(num), den)
 
 
-def _rational(x: object) -> Fraction | None:
-    return Fraction(x) if isinstance(x, (int, Fraction)) else None
-
-
 class CycloElem(FrozenValue):
     """An element of Q(zeta_e): (num[0] + num[1] zeta + ... ) / den.
 
@@ -206,20 +197,20 @@ class CycloElem(FrozenValue):
         return tuple(Fraction(c, self.den) for c in self.num)
 
     def _coerce(self, other: object) -> "CycloElem | None":
+        """other in this field, an int or Fraction through from_rational; else None."""
         if isinstance(other, CycloElem):
             if other.field.e != self.field.e:
                 raise InvalidArgumentError("cannot mix elements of different fields")
             return other
-        q = _rational(other)
-        return None if q is None else self.field.from_rational(q)
+        if isinstance(other, (int, Fraction)):
+            return self.field.from_rational(other)
+        return None
 
     def __add__(self, other: object) -> "CycloElem":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         a, b = self.den, o.den
-        if a == b:
-            return _normalised(self.field, [x + y for x, y in zip(self.num, o.num)], a)
         return _normalised(self.field, [x * b + y * a for x, y in zip(self.num, o.num)], a * b)
 
     __radd__ = __add__
@@ -236,10 +227,6 @@ class CycloElem(FrozenValue):
         return CycloElem(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other: object) -> "CycloElem":
-        q = _rational(other)
-        if q is not None:
-            num = [c * q.numerator for c in self.num]
-            return _normalised(self.field, num, self.den * q.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -248,15 +235,12 @@ class CycloElem(FrozenValue):
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "CycloElem":
-        q = _rational(other)
-        if q is not None:
-            return self * (1 / q)
         o = self._coerce(other)
         return NotImplemented if o is None else self * o.inverse()
 
     def __rtruediv__(self, other: object) -> "CycloElem":
-        q = _rational(other)
-        return NotImplemented if q is None else self.inverse() * q
+        o = self._coerce(other)
+        return NotImplemented if o is None else self.inverse() * o
 
     def __pow__(self, n: int) -> "CycloElem":
         if n < 0:
@@ -329,12 +313,10 @@ def shifted_sum(e: int, d: int) -> Fraction:
 def inertia_term(e: int, d: int, i: int) -> CycloElem:
     """The exact element (1/e) * zeta^(i*d) / (1 - zeta^(-i)) of Q(zeta_e).
 
-    One inertia-component contribution; i = 0 mod e is rejected because the
-    denominator vanishes there.
+    One inertia-component contribution; 0 < i < e keeps the denominator
+    away from zero.
     """
     _check_sum_domain(e)
-    if i % e == 0:
-        raise InvalidArgumentError("inertia_term: 1 - zeta^(-i) vanishes for i = 0 mod e")
     if not 0 < i < e:
         raise InvalidArgumentError(f"inertia_term requires 0 < i < e, got i={i}")
     if not 0 <= d < e:

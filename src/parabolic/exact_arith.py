@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: primality, factorization, valuations and Euler's totient."""
+"""Exact integer arithmetic: primality, factorization and valuations."""
 
 from __future__ import annotations
 
@@ -76,11 +76,3 @@ def factorize(n: int) -> PrimeFactorization:
     if n > 1:
         out.append((n, 1))
     return out
-
-
-def euler_phi(n: int) -> int:
-    """Euler's totient, via the prime factorization."""
-    phi = 1
-    for p, a in factorize(n):
-        phi *= (p - 1) * p ** (a - 1)
-    return phi

@@ -6,7 +6,6 @@ from parabolic.bigprime import _MR_BASES, MR_EXACT_BOUND, miller_rabin
 from parabolic.errors import InvalidArgumentError
 from parabolic.exact_arith import (
     TRIAL_LIMIT,
-    euler_phi,
     factorize,
     is_prime,
     v_p,
@@ -62,13 +61,6 @@ def test_factorize_roundtrip_and_structure(n):
 def test_v_p_matches_factorization(n):
     for p, a in factorize(n):
         assert v_p(n, p) == a
-
-
-def test_euler_phi_matches_counting():
-    from math import gcd
-
-    for n in range(1, 200):
-        assert euler_phi(n) == sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
 def _trial_is_prime(n):

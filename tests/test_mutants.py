@@ -78,6 +78,10 @@ MUTANTS = {
     "v_p + 1 with another prime": (
         [("exact_arith.py", "        a += 1\n    return a", "        a += 1\n    return a + (n > 1)")],
         RECORD, ("ed-consistency",)),
+    "both gerbe terms v_p - 1": (
+        [("bounds.py", "sum(p**a - 1 for p, a", "sum(a - 1 for p, a"),
+         ("bounds.py", "return p ** v_p(n, p) - 1", "return v_p(n, p) - 1")],
+        RECORD, ("ed-consistency",)),
     "_sum_images chirp at T(n + 1)": (
         [("oracle.py", "pack(powers[n * (n - 1) // 2 % e]", "pack(powers[(n + 1) * n // 2 % e]")],
         RECORD, ("cyclotomic-identities", "inertia-totals")),
@@ -104,10 +108,6 @@ MUTANTS = {
         [("bounds.py", "values.extend(p.weights.entries[1 : p.ramification])",
           "values.extend(p.degree * x for x in p.weights.entries[1 : p.ramification])")],
         PASS, ()),
-    "both gerbe terms v_p - 1": (
-        [("bounds.py", "sum(p**a - 1 for p, a", "sum(a - 1 for p, a"),
-         ("bounds.py", "return p ** v_p(n, p) - 1", "return v_p(n, p) - 1")],
-        PASS, ()),
     "nil_dimension genus for genus - 1": (
         [("bounds.py", "total = (genus - 1) * sum(piece.rank**2", "total = genus * sum(piece.rank**2")],
         PASS, ()),
@@ -122,7 +122,7 @@ MUTANTS = {
          ("exact_arith.py", "if f * f > n:\n        return True", "if f * f >= n:\n        return True")],
         INTERNAL, ()),  # e = 2 takes q = 9, where omega - 1 has no inverse
     "ed_p_value conjectural": (
-        [("bounds.py", "conjectural=False, prime=p", "conjectural=True, prime=p")],
+        [("bounds.py", "prime is None, prime)", "True, prime)")],
         PASS, ()),
 }
 

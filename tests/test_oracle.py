@@ -341,10 +341,11 @@ def test_ed_consistency_does_not_share_factorize_with_the_bounds(monkeypatch):
     assert any("gerbe-sum" in f["params"] for f in report.failures)
 
 
-def _offset(name, off):
-    # the oracle's own binding of a closed form, off by a constant everywhere
-    true_form = getattr(oracle, name)
-    return name, lambda *args: true_form(*args) + off
+def _offset(name, off, module=oracle):
+    # one module's binding of a closed form (the oracle's by default), off by a
+    # constant everywhere
+    true_form = getattr(module, name)
+    return module, name, lambda *args: true_form(*args) + off
 
 
 def _off_field(field, off):
@@ -356,7 +357,7 @@ def _off_field(field, off):
                   "classical_part": rep.classical_part, "corrections": rep.corrections}
         values[field] += off
         return ChiReport(**values)
-    return "euler_char", broken
+    return oracle, "euler_char", broken
 
 
 def _suite_records(reports):
@@ -387,7 +388,7 @@ def _larger_ed_p_total():
         rep = true_ed_p_value(b, p)
         return bounds.EdReport(rep.h, rep.base, rep.flag_total, rep.gerbe_term, rep.total + 1,
                                rep.conjectural, rep.prime)
-    return "ed_p_value", broken
+    return oracle, "ed_p_value", broken
 
 
 # (break, records): tests/data/failure_records.json pins each record list, with
@@ -419,8 +420,10 @@ BREAKS = {
     "end_euler_char": (lambda: _offset("end_euler_char", Fraction(1, 2)), _end_chi_records),
     # bool records: "True" expected, "False" got
     "ed_p_value.total": (_larger_ed_p_total, _ed_records),
-    # int records: the gerbe-term and gerbe-sum checks
+    # int records: the oracle's gerbe_ed_p fails the gerbe-sum check, the bounds'
+    # the gerbe-term check (and ed_p<=ed where h is a prime power)
     "gerbe_ed_p": (lambda: _offset("gerbe_ed_p", 1), _ed_records),
+    "bounds.gerbe_ed_p": (lambda: _offset("gerbe_ed_p", 1, bounds), _ed_records),
     # the moduli-dim check: chi of the endomorphism bundle
     "ed_consistency.chi": (lambda: _off_field("chi", 1), _ed_records),
 }
@@ -430,7 +433,7 @@ PINNED_RECORDS = Path(__file__).parent / "data" / "failure_records.json"
 @pytest.mark.parametrize("key", BREAKS)
 def test_failure_records_are_pinned(monkeypatch, key):
     brk, records = BREAKS[key]
-    monkeypatch.setattr(oracle, *brk())
+    monkeypatch.setattr(*brk())
     pinned = json.loads(PINNED_RECORDS.read_text())[key]
     # json.dumps keeps each record's key order, so a swapped pair shows too
     assert json.dumps(records()) == json.dumps(pinned)
