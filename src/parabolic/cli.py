@@ -15,8 +15,8 @@ Input documents describe an orbifold curve and a bundle on it::
 own weights.  Output is JSON by default (``--format text`` for a plain
 table).  Exit codes: 0 success, 1 hypothesis violation, 2 input error,
 3 verification failure, 4 internal error (a defect: one line on stderr, no
-traceback).  Rationals are emitted as exact "p/q" strings,
-never floats.
+traceback; for ``verify``, any error raised after its arguments are
+checked).  Rationals are emitted as exact "p/q" strings, never floats.
 
 Each ``COMMANDS`` entry is (help, arguments, handler).  A handler returns the
 payload to print; the exit code is 3 when its ``"pass"`` is false, else 0.
@@ -278,12 +278,19 @@ def _hom_datum(args: argparse.Namespace) -> dict:
     return document_json(end_bundle(bundle))
 
 
+class _RunDefect(Exception):
+    """Its cause was raised after verify's arguments passed: a defect (exit 4)."""
+
+
 def _verify(args: argparse.Namespace) -> dict:
     # fixed ceilings bound the work: the cost grows as e_max^2, like the case count (~0.4 s at 150)
     e_max = _in_range("--e-max", args.e_max, 2, 150)
     count = _in_range("--random", args.random, 0, 100_000)
     _in_range("the digit count of --seed", len(str(abs(args.seed))), 1, MAX_SEED_DIGITS)
-    reports = run_all(e_max=e_max, random_count=count, seed=args.seed)
+    try:
+        reports = run_all(e_max=e_max, random_count=count, seed=args.seed)
+    except Exception as exc:
+        raise _RunDefect from exc
     return {"pass": all(r.passed for r in reports),
             "reports": [r.to_json_obj() for r in reports]}
 
@@ -370,6 +377,7 @@ def run(argv: Sequence[str], stdout: TextIO | None = None,
         stderr.write(f"error: {exc}\n")
         return EXIT_HYPOTHESIS
     except Exception as exc:  # a defect, such as an InternalInconsistencyError
+        exc = exc.__cause__ if isinstance(exc, _RunDefect) else exc
         stderr.write(f"error: internal: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
     _emit(payload, args.format, stdout)

@@ -8,6 +8,7 @@ action.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 from .errors import InvalidArgumentError, InvalidWeightsError
@@ -53,7 +54,7 @@ class Weights(FrozenValue):
         n = entries
         if len(n) < 2:
             raise InvalidWeightsError(f"weights need length >= 2, got {n!r}")
-        if any(a < b for a, b in zip(n, n[1:])):
+        if not all(map(operator.ge, n, n[1:])):
             raise InvalidWeightsError(f"weights must be nonincreasing, got {n!r}")
         if n[-1] != 0:
             raise InvalidWeightsError(f"weights must end in 0, got {n!r}")
@@ -76,7 +77,7 @@ def validate_weights(entries: Iterable[int]) -> Weights:
     """Build a Weights value from ints (a bool, float or str is refused, never
     coerced), rejecting anything non-monotone or unterminated."""
     n = tuple(entries)
-    if not all(type(x) is int for x in n):
+    if not {*map(type, n)} <= {int}:
         raise InvalidWeightsError(f"weights must be integers, got {n!r}")
     return Weights(n)
 
@@ -84,7 +85,7 @@ def validate_weights(entries: Iterable[int]) -> Weights:
 def jumps(w: Weights) -> tuple[int, ...]:
     """The jump vector (delta_0, ..., delta_{e-1}); nonnegative, sums to n_0."""
     n = w.entries
-    return tuple(n[d] - n[d + 1] for d in range(len(n) - 1))
+    return tuple(map(operator.sub, n, n[1:]))
 
 
 def flag_dim(w: Weights) -> int:
@@ -95,7 +96,7 @@ def flag_dim(w: Weights) -> int:
     (n_0^2 - sum of delta_i^2) / 2.
     """
     n = w.entries
-    return sum(n[i] * (n[i - 1] - n[i]) for i in range(1, len(n) - 1))
+    return sum(map(operator.mul, n[1:-1], map(operator.sub, n, n[1:])))
 
 
 def flag_total(bundle: ParabolicBundle) -> int:

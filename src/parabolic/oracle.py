@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .bounds import ed_p_value, ed_upper_bound, gerbe_ed_p, gerbe_ed_upper
 from .core import (
@@ -108,19 +108,26 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def check(self, params: str, expected: Fraction | int, got: Fraction | int,
-              den: int = 1, expected_den: int = 1) -> None:
-        """Record a failure unless expected / expected_den == got / den, compared
-        by cross-multiplication of ints, bools or Fractions: a Fraction is built
-        only for a failure record."""
-        self.cases += 1
-        if (expected.numerator * got.denominator * den
-                != got.numerator * expected.denominator * expected_den):
-            if expected_den != 1:
-                expected = Fraction(expected, expected_den)
-            if den != 1:
-                got = Fraction(got, den)
-            self.failures.append({"params": params, "expected": str(expected), "got": str(got)})
+    def check(self, label: str, expected: Fraction | int, got: Fraction | int,
+              den: int = 1, expected_den: int = 1, args: tuple = ()) -> None:
+        """check_all on the one case (label, args, expected, got, den)."""
+        self.check_all([(label, args, expected, got, den)], expected_den)
+
+    def check_all(self, cases: Iterable[tuple], expected_den: int = 1) -> None:
+        """Record a failure for each (label, args, expected, got, den) of cases, in
+        order, unless expected / expected_den == got / den, compared by cross-
+        multiplication of ints, bools or Fractions; only a failure builds a
+        Fraction and the text label.format(*args), or label itself without args."""
+        for label, args, expected, got, den in cases:
+            self.cases += 1
+            if (expected.numerator * got.denominator * den
+                    != got.numerator * expected.denominator * expected_den):
+                if expected_den != 1:
+                    expected = Fraction(expected, expected_den)
+                if den != 1:
+                    got = Fraction(got, den)
+                self.failures.append({"params": label.format(*args) if args else label,
+                                      "expected": str(expected), "got": str(got)})
 
     def to_json_obj(self) -> dict:
         return {
@@ -211,11 +218,11 @@ def _check_hom_identity(report: VerificationReport, w: Weights) -> None:
     e = w.ramification
     m = hom_datum(w).entries
     fd = flag_dim(w)
-    report.check(f"{w.entries} correction-vs-flag",
-                 sum(d * (m[d] - m[d + 1]) for d in range(e)), fd, expected_den=e)
-    report.check(f"{w.entries} flag-vs-brute", fd, brute_flag_dim(w))
-    report.check(f"{w.entries} m0", w.rank**2, m[0])
-    report.check(f"{w.entries} jumps-sum", w.rank, sum(jumps(w)))
+    report.check("{} correction-vs-flag", sum(d * (m[d] - m[d + 1]) for d in range(e)), fd,
+                 expected_den=e, args=(w.entries,))
+    report.check("{} flag-vs-brute", fd, brute_flag_dim(w), args=(w.entries,))
+    report.check("{} m0", w.rank**2, m[0], args=(w.entries,))
+    report.check("{} jumps-sum", w.rank, sum(jumps(w)), args=(w.entries,))
 
 
 def hom_identity_suite(count: int, seed: int) -> VerificationReport:
@@ -252,20 +259,21 @@ def root_of_unity_suites(e_max: int) -> list[VerificationReport]:
                                  f"2 <= e <= {min(e_max, INERTIA_E_MAX)}, 0 <= d < e")
     for e in range(2, e_max + 1):
         shifted, geometric = _sum_images(e, *_split_prime(e))
-        for k in range(e):
-            report.check(f"geometric e={e} k={k}", geometric_sum(e, k), geometric[k])
-        report.check(f"inverse e={e}", inverse_sum(e), shifted[0], e)
+        cases = [("geometric e={} k={}", (e, k), geometric_sum(e, k), geometric[k], 1)
+                 for k in range(e)]
+        cases.append(("inverse e={}", (e,), inverse_sum(e), shifted[0], e))
         telescoped = 0
         for d in range(1, e):
             telescoped += geometric[d - 1]
             ratio = ratio_sum(e, d)
-            report.check(f"ratio e={e} d={d}", ratio, shifted[d] - shifted[0], e)
-            report.check(f"telescoped e={e} d={d}", ratio, telescoped)
-        for d in range(1, e + 1):
-            report.check(f"shifted e={e} d={d}", shifted_sum(e, d), shifted[d % e], e)
+            cases += (("ratio e={} d={}", (e, d), ratio, shifted[d] - shifted[0], e),
+                      ("telescoped e={} d={}", (e, d), ratio, telescoped, 1))
+        cases += [("shifted e={} d={}", (e, d), shifted_sum(e, d), shifted[d % e], e)
+                  for d in range(1, e + 1)]
+        report.check_all(cases)
         if e <= INERTIA_E_MAX:
-            for d in range(e):
-                inertia.check(f"e={e} d={d}", inertia_total(e, d), shifted[(d + 1) % e], e * e)
+            inertia.check_all([("e={} d={}", (e, d), inertia_total(e, d), shifted[(d + 1) % e],
+                                e * e) for d in range(e)])
     return [report, inertia]
 
 
@@ -317,22 +325,24 @@ def _sum_images(e: int, q: int, omega: int) -> tuple[list[int], list[int]]:
 
 
 def _check_chi(report: VerificationReport, b: ParabolicBundle,
-               rep: ChiReport | None = None) -> None:
+               rep: ChiReport | None = None, inertia: list | None = None) -> None:
     """Check both Euler characteristic assemblies on one bundle.
 
     Global term plus inertia contributions must equal chi, and chi must
-    equal underlying degree + (1 - g) * rank.  rep is euler_char(b), when
-    the caller has it already.
+    equal underlying degree + (1 - g) * rank.  rep and inertia, when given,
+    are euler_char(b) and the (f, inertia_bundle_total(p)) of its points.
     """
     rep = euler_char(b) if rep is None else rep
+    if inertia is None:
+        inertia = [(p.degree, inertia_bundle_total(p)) for p in b.curve.points]
     pts = [(p.degree, p.ramification) for p in b.curve.points]
-    terms = [(1, global_term(rep.stacky_degree, b.rank, b.curve.genus, pts))]
-    terms += [(p.degree, inertia_bundle_total(p)) for p in b.curve.points]
+    terms = [(1, global_term(rep.stacky_degree, b.rank, b.curve.genus, pts)), *inertia]
     den = math.lcm(*[t.denominator for _, t in terms])
     assembled = sum([f * t.numerator * (den // t.denominator) for f, t in terms])
-    params = f"g={b.curve.genus} r={b.rank} d={b.degree} pts={pts}"
-    report.check(f"{params} global+inertia", rep.chi, assembled, den)
-    report.check(f"{params} pushforward", b.degree + (1 - b.curve.genus) * b.rank, rep.chi)
+    args = (b.curve.genus, b.rank, b.degree, pts)
+    report.check("g={} r={} d={} pts={} global+inertia", rep.chi, assembled, den, args=args)
+    report.check("g={} r={} d={} pts={} pushforward", b.degree + (1 - b.curve.genus) * b.rank,
+                 rep.chi, args=args)
 
 
 def chi_suite(count: int, seed: int) -> VerificationReport:
@@ -347,16 +357,19 @@ def root_line_suite() -> VerificationReport:
     bookkeeping on the one family where both are known independently.
     Fixed sizes: e <= 10, g in (0, 1, 2, 5), f in (1, 2)."""
     report = VerificationReport("root-line-chi", "0 <= i < 2e, e <= 10, g in (0, 1, 2, 5)")
+    # each (f, e, i) point and its inertia term serve all four genera
+    points = [(f, e, i, ParabolicPoint(f, e, root_line_datum(i, e)))
+              for f in (1, 2) for e in range(1, 11) for i in range(2 * e)]
+    inertia = [[(f, inertia_bundle_total(point))] for f, _e, _i, point in points]
     for g in (0, 1, 2, 5):
-        for f in (1, 2):
-            for e in range(1, 11):
-                for i in range(2 * e):
-                    b = root_line_bundle(g, e, i, f)
-                    rep = euler_char(b)
-                    params = f"g={g} f={f} e={e} i={i}"
-                    report.check(f"{params} chi", (i // e) * f + 1 - g, rep.chi)
-                    report.check(f"{params} stacky", i * f, rep.stacky_degree, expected_den=e)
-                    _check_chi(report, b, rep)
+        for (f, e, i, point), terms in zip(points, inertia):
+            b = ParabolicBundle(OrbifoldCurve(g, (point,)), 1, (i // e) * f)
+            rep = euler_char(b)
+            args = (g, f, e, i)
+            report.check("g={} f={} e={} i={} chi", (i // e) * f + 1 - g, rep.chi, args=args)
+            report.check("g={} f={} e={} i={} stacky", i * f, rep.stacky_degree,
+                         expected_den=e, args=args)
+            _check_chi(report, b, rep, terms)
     return report
 
 
@@ -366,10 +379,10 @@ def _check_end_chi(report: VerificationReport, b: ParabolicBundle) -> None:
     The flag-dimension formula must match euler_char of the hom-datum
     bundle whose stacky degree is zero.
     """
-    params = f"g={b.curve.genus} r={b.rank} d={b.degree}"
+    args = (b.curve.genus, b.rank, b.degree)
     endo = euler_char(end_bundle(b))
-    report.check(f"{params} end-stacky-zero", 0, endo.stacky_degree)
-    report.check(f"{params} end-chi", end_euler_char(b), endo.chi)
+    report.check("g={} r={} d={} end-stacky-zero", 0, endo.stacky_degree, args=args)
+    report.check("g={} r={} d={} end-chi", end_euler_char(b), endo.chi, args=args)
 
 
 def end_chi_suite(count: int, seed: int) -> VerificationReport:
@@ -388,18 +401,20 @@ def _check_ed_consistency(report: VerificationReport, b: ParabolicBundle) -> Non
     """
     upper = ed_upper_bound(b)
     h = upper.h
-    params = f"g={b.curve.genus} r={b.rank} d={b.degree} h={h}"
+    args = (b.curve.genus, b.rank, b.degree, h)
     # the primes of h by plain trial division, not by factorize as in the bounds
     primes = [p for p in range(2, h + 1) if h % p == 0 and all(p % q for q in range(2, p))]
     for p in primes:
         edp = ed_p_value(b, p)
-        report.check(f"{params} p={p} ed_p<=ed", True, edp.total <= upper.total)
+        report.check("g={} r={} d={} h={} p={} ed_p<=ed", True, edp.total <= upper.total,
+                     args=(*args, p))
         # the p-part of h: p^bits(h) > h is a multiple of it
-        report.check(f"{params} p={p} gerbe-term", math.gcd(h, p ** h.bit_length()) - 1,
-                     edp.gerbe_term)
-    report.check(f"{params} gerbe-sum", gerbe_ed_upper(h), sum(gerbe_ed_p(h, p) for p in primes))
-    report.check(f"{params} moduli-dim", upper.base + upper.flag_total,
-                 1 - euler_char(end_bundle(b)).chi)
+        report.check("g={} r={} d={} h={} p={} gerbe-term",
+                     math.gcd(h, p ** h.bit_length()) - 1, edp.gerbe_term, args=(*args, p))
+    report.check("g={} r={} d={} h={} gerbe-sum", gerbe_ed_upper(h),
+                 sum(gerbe_ed_p(h, p) for p in primes), args=args)
+    report.check("g={} r={} d={} h={} moduli-dim", upper.base + upper.flag_total,
+                 1 - euler_char(end_bundle(b)).chi, args=args)
 
 
 def ed_consistency_suite(count: int, seed: int) -> VerificationReport:

@@ -55,8 +55,8 @@ class ChiReport(FrozenValue):
 
 def _correction_numerator(point: ParabolicPoint) -> int:
     """e * correction_term(point): the sum of d * (n_d - n_{d+1}) over d < e."""
-    n = point.weights.entries
-    return sum(d * (n[d] - n[d + 1]) for d in range(point.ramification))
+    # the sum telescopes to n_1 + ... + n_{e-1} because n_e = 0, which Weights enforces
+    return sum(point.weights.entries[1:-1])
 
 
 def correction_term(point: ParabolicPoint) -> Fraction:

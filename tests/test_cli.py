@@ -8,9 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from parabolic import cli
+from parabolic import cli, oracle
 from parabolic.cli import parse_document, run
-from parabolic.errors import InternalInconsistencyError
+from parabolic.errors import (
+    HypothesisViolationError,
+    InternalInconsistencyError,
+    InvalidArgumentError,
+)
 from parabolic.oracle import VerificationReport
 
 CHI_DOC = {
@@ -243,6 +247,24 @@ def test_internal_error_exits_4_without_traceback(chi_path, monkeypatch):
     assert out == ""
     assert err == ("error: internal: InternalInconsistencyError: "
                    "endomorphism bundle degree 1/3 is not an integer\n")
+
+
+@pytest.mark.parametrize("error", [
+    InvalidArgumentError("weights length 3 does not match ramification index 1"),
+    HypothesisViolationError("ed bounds require genus >= 2, got 2"),
+])
+def test_library_error_inside_verify_exits_4(monkeypatch, error):
+    # verify's arguments are checked before any suite runs, so a library error
+    # raised by a suite is a defect of the program, not bad input (2) or a
+    # violated hypothesis (1)
+    def broken(count, seed):
+        raise error
+
+    monkeypatch.setattr(oracle, "chi_suite", broken)
+    code, out, err = invoke(["verify"])
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == f"error: internal: {type(error).__name__}: {error}\n"
 
 
 def test_stdin_input(chi_path, monkeypatch):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from parabolic.core import (
 )
 from parabolic.errors import InvalidArgumentError, InvalidWeightsError
 from parabolic.oracle import random_weights
+from parabolic.riemann_roch import _correction_numerator
 
 
 @st.composite
@@ -83,6 +85,49 @@ def test_flag_dim_three_routes_agree(w):
     halved = Fraction(w.rank**2 - sum(x**2 for x in d), 2)
     assert flag_dim(w) == cross
     assert Fraction(flag_dim(w)) == halved
+
+
+def _all_weight_vectors(max_ram, max_rank):
+    """Every weight vector with 1 <= e <= max_ram and 1 <= n_0 <= max_rank."""
+    for e in range(1, max_ram + 1):
+        for r in range(1, max_rank + 1):
+            for interior in combinations_with_replacement(range(r, -1, -1), e - 1):
+                yield (r, *interior, 0)
+
+
+def test_weight_kernels_match_their_definitions():
+    """The slice-and-map kernels against the sums they replace, on every
+    weight vector with e <= 6 and r <= 6."""
+    count = 0
+    for n in _all_weight_vectors(6, 6):
+        w = validate_weights(n)
+        e = len(n) - 1
+        delta = [n[d] - n[d + 1] for d in range(e)]
+        assert jumps(w) == tuple(delta) and sum(jumps(w)) == n[0]
+        cross = sum(delta[i] * delta[j] for i in range(e) for j in range(i + 1, e))
+        assert flag_dim(w) == cross == (n[0] ** 2 - sum(x * x for x in delta)) // 2
+        point = ParabolicPoint(1, e, w)
+        assert _correction_numerator(point) == sum(d * delta[d] for d in range(e))
+        count += 1
+    assert count == 1709  # the sum over e and r of binomial(r + e - 1, e - 1)
+
+
+def _refusal(build, entries) -> str:
+    with pytest.raises(InvalidWeightsError) as exc:
+        build(entries)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("n", [(2, 1, 0), (3, 3, 1, 0), (6, 0), (1, 1, 1, 1, 1, 1, 0)])
+def test_weight_checks_keep_their_order_and_messages(n):
+    with_bool = (*n[:-1], False)
+    assert _refusal(validate_weights, with_bool) == f"weights must be integers, got {with_bool!r}"
+    rising = n[::-1]  # also ends in n_0 != 0: the order check comes first
+    tail = tuple(x + 1 for x in n)
+    for build in (validate_weights, Weights):  # only validate_weights checks the entry type
+        assert _refusal(build, rising) == f"weights must be nonincreasing, got {rising!r}"
+        assert _refusal(build, tail) == f"weights must end in 0, got {tail!r}"
+        assert _refusal(build, n[:1]) == f"weights need length >= 2, got {n[:1]!r}"
 
 
 def test_hom_datum_examples():

@@ -26,7 +26,7 @@ RANK = {RECORD: 2, INTERNAL: 1}  # any other exit code ranks with a pass: 0
 # name -> (replacements, expected exit code, reports that fail on a record)
 MUTANTS = {
     "flag_dim n[i-1] factor": (
-        [("core.py", "sum(n[i] * (n[i - 1] - n[i])", "sum(n[i - 1] * (n[i - 1] - n[i])")],
+        [("core.py", "map(operator.mul, n[1:-1]", "map(operator.mul, n[:-2]")],
         RECORD, ("hom-datum-identity", "end-chi-two-routes")),
     "flag_total without f": (
         [("core.py", "sum(p.degree * flag_dim(p.weights)", "sum(flag_dim(p.weights)")],
@@ -95,7 +95,9 @@ MUTANTS = {
         [("core.py", "m[d + 1] + cls[d]", "m[d + 1] + cls[(d + 1) % e]")],
         INTERNAL, ()),
     "correction d + 1": (
-        [("riemann_roch.py", "return sum(d * (n[d] - n[d + 1])", "return sum((d + 1) * (n[d] - n[d + 1])")],
+        # sum(n_0..n_{e-1}) is the sum of (d + 1) * (n_d - n_{d+1}) over d < e
+        [("riemann_roch.py", "return sum(point.weights.entries[1:-1])",
+          "return sum(point.weights.entries[:-1])")],
         INTERNAL, ()),
     "factorize drops a cofactor 2 or 3": (
         [("exact_arith.py", "if n > 1:\n        out.append((n, 1))",
