@@ -46,12 +46,15 @@ class FrozenValue:
 
 
 class Weights(FrozenValue):
-    """Nonincreasing integers (n_0, ..., n_e) with n_e = 0, length e + 1."""
+    """Nonincreasing integers (n_0, ..., n_e) with n_e = 0, length e + 1; a bool,
+    float or str entry is refused, never coerced."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple[int, ...]):
         n = entries
+        if not {*map(type, n)} <= {int}:
+            raise InvalidWeightsError(f"weights must be integers, got {n!r}")
         if len(n) < 2:
             raise InvalidWeightsError(f"weights need length >= 2, got {n!r}")
         if not all(map(operator.ge, n, n[1:])):
@@ -74,12 +77,8 @@ class Weights(FrozenValue):
 
 
 def validate_weights(entries: Iterable[int]) -> Weights:
-    """Build a Weights value from ints (a bool, float or str is refused, never
-    coerced), rejecting anything non-monotone or unterminated."""
-    n = tuple(entries)
-    if not {*map(type, n)} <= {int}:
-        raise InvalidWeightsError(f"weights must be integers, got {n!r}")
-    return Weights(n)
+    """Build a Weights value from any iterable of ints."""
+    return Weights(tuple(entries))
 
 
 def jumps(w: Weights) -> tuple[int, ...]:

@@ -14,6 +14,7 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
+from . import cyclotomic
 from .core import (
     FrozenValue,
     OrbifoldCurve,
@@ -23,7 +24,6 @@ from .core import (
     hom_datum,
     jumps,
 )
-from .cyclotomic import inertia_total
 from .errors import InternalInconsistencyError
 
 
@@ -112,7 +112,7 @@ def inertia_bundle_total(point: ParabolicPoint) -> Fraction:
     total = 0  # over 2e, which every inertia_total(e, d) denominator divides
     for d, delta in enumerate(jumps(point.weights)):
         if delta:
-            t = inertia_total(e, d)
+            t = cyclotomic.inertia_total(e, d)
             total += delta * t.numerator * (2 * e // t.denominator)
     return Fraction(total, 2 * e)
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import parabolic
 from parabolic import cli, oracle
 from parabolic.cli import parse_document, run
 from parabolic.errors import (
@@ -179,7 +181,7 @@ def test_verify_small_passes():
 def test_verify_failure_exits_3(monkeypatch):
     broken = VerificationReport("demo", "n/a")
     broken.check("bad", 1, 2)
-    monkeypatch.setattr(cli, "run_all", lambda **kw: [broken])
+    monkeypatch.setattr(oracle, "run_all", lambda **kw: [broken])
     code, out, _ = invoke(["verify"])
     assert code == 3
     assert json.loads(out)["pass"] is False
@@ -454,15 +456,78 @@ def test_verify_output_is_pinned(golden):
     assert invoke(GOLDENS[golden]) == (0, expected, "")
 
 
-def _loaded_after(statement, module):
-    # runs the statement in a fresh interpreter, importing this checkout's package
+def _fresh(probe):
+    # runs the probe in a fresh interpreter, importing this checkout's package;
+    # returns the last line it prints
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    probe = f"import sys, parabolic.cli; {statement}; print({module!r} in sys.modules)"
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    return result.stdout.splitlines()[-1] == "True"
+    return result.stdout.splitlines()[-1]
+
+
+def _loaded_after(statement, module):
+    return _fresh(f"import sys, parabolic.cli; {statement}; print({module!r} in sys.modules)") == "True"
+
+
+LAZY_MODULES = ("parabolic.cyclotomic", "parabolic.oracle")
+
+
+def _executed_after(statement):
+    # which lazy modules have run their code: each must stay in sys.modules, and
+    # type() reads no attribute, so executed() itself loads nothing
+    return json.loads(_fresh(
+        "import json, sys, types, parabolic.cli\n"
+        f"def executed(): return [type(sys.modules[m]) is types.ModuleType for m in {LAZY_MODULES!r}]\n"
+        f"{statement}\nprint(json.dumps(executed()))"))
+
+
+def test_document_commands_leave_the_lazy_modules_unexecuted():
+    argvs = [[name, *(["-i", "-"] if arguments[0] is cli._INPUT else ["12"]),
+              *(["--prime", "2"] if cli._PRIME in arguments else [])]
+             for name, (_help, arguments, _handler) in cli.COMMANDS.items() if name != "verify"]
+    assert len(argvs) == 12
+    # each command succeeds, and neither module has run after it
+    assert _executed_after(
+        "import io\n"
+        f"for argv in {argvs!r}:\n"
+        f"    sys.stdin, out = io.StringIO({json.dumps(CHI_DOC)!r}), io.StringIO()\n"
+        "    assert parabolic.cli.run(argv, out, out) == 0, argv\n"
+        "    assert executed() == [False, False], argv") == [False, False]
+
+
+def test_verify_executes_the_lazy_modules():
+    assert _executed_after("import io; out = io.StringIO(); "
+                           "assert parabolic.cli.run(['verify'], out, out) == 0") == [True, True]
+
+
+def test_perfbench_finds_run_all_after_importing_the_cli():
+    # perfbench's span installer reads vars() of each layer module right after the import
+    assert _executed_after(
+        "assert 'run_all' in vars(sys.modules['parabolic.oracle']); "
+        "assert 'inertia_total' in vars(sys.modules['parabolic.cyclotomic'])") == [True, True]
+
+
+def test_the_cli_reuses_an_oracle_imported_before_it():
+    # a second module object would leave a patch of the first unseen by verify
+    assert _fresh("import sys, parabolic.oracle as o, parabolic.cli as c; "
+                  "print(c.oracle is o is sys.modules['parabolic.oracle'])") == "True"
+
+
+def test_import_forms_work_on_the_lazy_field():
+    element = parabolic.cyclo_field(5).from_cover([1, 2, 3, 4, 5])
+    pickled = pickle.dumps(element)
+    for statement in [
+        "assert parabolic.cyclo_field(5).e == 5",
+        "from parabolic import *; assert CycloElem.__module__ == 'parabolic.cyclotomic'",
+        "from parabolic.cyclotomic import CycloField; assert CycloField(7).e == 7",
+        f"import pickle; assert pickle.loads({pickled!r}).coeff_strings() == "
+        f"{element.coeff_strings()!r}",
+    ]:
+        assert _executed_after(statement) == [True, False], statement
+    # dir() lists the field's names without running the module
+    assert _executed_after("assert set(parabolic.__all__) <= set(dir(parabolic))") == [False, False]
 
 
 def test_importing_the_cli_leaves_bigprime_unloaded():

@@ -121,10 +121,13 @@ def _refusal(build, entries) -> str:
 @pytest.mark.parametrize("n", [(2, 1, 0), (3, 3, 1, 0), (6, 0), (1, 1, 1, 1, 1, 1, 0)])
 def test_weight_checks_keep_their_order_and_messages(n):
     with_bool = (*n[:-1], False)
-    assert _refusal(validate_weights, with_bool) == f"weights must be integers, got {with_bool!r}"
     rising = n[::-1]  # also ends in n_0 != 0: the order check comes first
     tail = tuple(x + 1 for x in n)
-    for build in (validate_weights, Weights):  # only validate_weights checks the entry type
+    for build in (validate_weights, Weights):
+        assert _refusal(build, with_bool) == f"weights must be integers, got {with_bool!r}"
+        # the type check comes first: (2.5, True, 0) passes every other check, (1.5,) fails the length one
+        for mixed in [(2.5, True, 0), (1.5,)]:
+            assert _refusal(build, mixed) == f"weights must be integers, got {mixed!r}"
         assert _refusal(build, rising) == f"weights must be nonincreasing, got {rising!r}"
         assert _refusal(build, tail) == f"weights must end in 0, got {tail!r}"
         assert _refusal(build, n[:1]) == f"weights need length >= 2, got {n[:1]!r}"
