@@ -75,7 +75,6 @@ from .exact_arith import (
 )
 from .riemann_roch import (
     ChiReport,
-    correction_term,
     end_bundle,
     end_euler_char,
     euler_char,
@@ -102,7 +101,6 @@ __all__ = [
     "ParabolicPoint",
     "Weights",
     "bundle_on",
-    "correction_term",
     "cyclo_field",
     "cyclotomic_poly",
     "ed_p_value",

@@ -167,13 +167,6 @@ def _draw_weights(rng: Lcg64, e: int, r: int) -> Weights:
     return Weights((r, *interior, 0))
 
 
-def random_weights(e: int, r: int, seed: int) -> Weights:
-    """Seeded uniform weight vector; deterministic for a given seed."""
-    if e < 1 or r < 1:
-        raise InvalidArgumentError("random_weights requires e >= 1 and r >= 1")
-    return _draw_weights(Lcg64(seed), e, r)
-
-
 def _draw_bundle(rng: Lcg64, min_genus: int = 0) -> ParabolicBundle:
     """One random bundle; draw order is part of the determinism contract:
     genus (min_genus..5), point count (0..3), rank (1..6), degree (-10..10),
@@ -189,17 +182,6 @@ def _draw_bundle(rng: Lcg64, min_genus: int = 0) -> ParabolicBundle:
         w = _draw_weights(rng, e, rank)
         points.append((f, e, w.entries))
     return bundle_on(g, rank, degree, points)
-
-
-def random_bundle(seed: int) -> ParabolicBundle:
-    """Seeded random bundle; see _draw_bundle for the ranges and draw order."""
-    return _draw_bundle(Lcg64(seed))
-
-
-def root_line_bundle(genus: int, e: int, i: int, residue_degree: int = 1) -> ParabolicBundle:
-    """The i-th root-line power as a bundle: rank 1, degree floor(i/e) * f."""
-    point = ParabolicPoint(residue_degree, e, root_line_datum(i, e))
-    return ParabolicBundle(OrbifoldCurve(genus, (point,)), 1, (i // e) * residue_degree)
 
 
 def brute_flag_dim(w: Weights) -> int:

@@ -54,17 +54,9 @@ class ChiReport(FrozenValue):
 
 
 def _correction_numerator(point: ParabolicPoint) -> int:
-    """e * correction_term(point): the sum of d * (n_d - n_{d+1}) over d < e."""
+    """e times the point's correction: the sum of d * (n_d - n_{d+1}) over d < e."""
     # the sum telescopes to n_1 + ... + n_{e-1} because n_e = 0, which Weights enforces
     return sum(point.weights.entries[1:-1])
-
-
-def correction_term(point: ParabolicPoint) -> Fraction:
-    """Sum of d * (n_d - n_{d+1}) / e over the jumps at one point.
-
-    The residue-degree factor is applied by callers.
-    """
-    return Fraction(_correction_numerator(point), point.ramification)
 
 
 def stacky_degree(bundle: ParabolicBundle) -> Fraction:
@@ -106,7 +98,7 @@ def global_term(
 def inertia_bundle_total(point: ParabolicPoint) -> Fraction:
     """Inertia contribution of one point: jump-weighted inertia totals.
 
-    Equals rank * (e - 1) / (2e) - correction_term(point).
+    Equals rank * (e - 1) / (2e) minus the point's correction in ChiReport.corrections.
     """
     e = point.ramification
     total = 0  # over 2e, which every inertia_total(e, d) denominator divides

@@ -530,6 +530,35 @@ def test_import_forms_work_on_the_lazy_field():
     assert _executed_after("assert set(parabolic.__all__) <= set(dir(parabolic))") == [False, False]
 
 
+# names deleted from the library (README, "Removed names"), by the module that had them
+REMOVED_NAMES = {
+    "parabolic": ("correction_term", "gcd_list", "rational_str", "euler_phi"),
+    "parabolic.exact_arith": ("gcd_list", "rational_str", "euler_phi", "divisors"),
+    "parabolic.riemann_roch": ("correction_term", "inertia_total"),
+    "parabolic.oracle": ("random_weights", "random_bundle", "root_line_bundle"),
+    "parabolic.cli": ("run_all",),
+}
+
+
+def test_removed_names_stay_removed_and_star_import_binds_all():
+    # in a fresh interpreter, so no earlier test has loaded a lazy module; the
+    # package's __getattr__ must not serve a removed name either
+    assert _fresh(
+        "import importlib\n"
+        f"for module, names in {REMOVED_NAMES!r}.items():\n"
+        "    for name in names:\n"
+        "        try:\n"
+        "            getattr(importlib.import_module(module), name)\n"
+        "        except AttributeError:\n"
+        "            continue\n"
+        "        raise AssertionError(f'{module}.{name} still exists')\n"
+        "namespace = {}\n"
+        "exec('from parabolic import *', namespace)\n"
+        "del namespace['__builtins__']\n"
+        "print(sorted(set(namespace) ^ set(importlib.import_module('parabolic').__all__)))"
+    ) == "[]"
+
+
 def test_importing_the_cli_leaves_bigprime_unloaded():
     # document commands pay for every module the CLI imports at start-up
     assert not _loaded_after("pass", "parabolic.bigprime")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from parabolic import bounds, cyclotomic, exact_arith, oracle
-from parabolic.core import Weights, bundle_on, validate_weights
+from parabolic.core import Weights, bundle_on, root_line_datum, validate_weights
 from parabolic.errors import InvalidArgumentError
 from parabolic.oracle import (
     Lcg64,
@@ -19,15 +19,14 @@ from parabolic.oracle import (
     _check_ed_consistency,
     _check_end_chi,
     _check_hom_identity,
+    _draw_bundle,
+    _draw_weights,
     _sweep,
     brute_flag_dim,
     chi_suite,
     ed_consistency_suite,
     end_chi_suite,
     hom_identity_suite,
-    random_bundle,
-    random_weights,
-    root_line_bundle,
     root_line_suite,
     root_of_unity_suites,
     run_all,
@@ -62,11 +61,12 @@ def test_lcg_below_refuses_ranges_past_2_64_at_once():
     # never end: a child process with a timeout turns such a hang into a failure
     probe = """if True:
         from parabolic.errors import InvalidArgumentError
-        from parabolic.oracle import Lcg64, random_weights
+        from parabolic.oracle import Lcg64, _draw_weights
         assert 0 <= Lcg64(5).below(2**64) < 2**64
-        # random_weights(2, r, seed) draws below r + 1
-        assert random_weights(2, 2**64 - 1, 1).rank == 2**64 - 1
-        for call in (lambda: Lcg64(5).below(2**64 + 1), lambda: random_weights(2, 2**64, 1)):
+        # _draw_weights(rng, 2, r) draws below r + 1
+        assert _draw_weights(Lcg64(1), 2, 2**64 - 1).rank == 2**64 - 1
+        for call in (lambda: Lcg64(5).below(2**64 + 1),
+                     lambda: _draw_weights(Lcg64(1), 2, 2**64)):
             try:
                 call()
             except InvalidArgumentError:
@@ -80,12 +80,12 @@ def test_lcg_below_refuses_ranges_past_2_64_at_once():
 
 
 def test_random_weights_examples():
-    assert random_weights(1, 4, 7).entries == (4, 0)
+    assert _draw_weights(Lcg64(7), 1, 4).entries == (4, 0)
     for seed in range(20):
-        w = random_weights(2, 1, seed)
+        w = _draw_weights(Lcg64(seed), 2, 1)
         assert w.entries in {(1, 0, 0), (1, 1, 0)}
     # pinned reproducible draw
-    assert random_weights(3, 2, 42).entries == (2, 0, 0, 0)
+    assert _draw_weights(Lcg64(42), 3, 2).entries == (2, 0, 0, 0)
 
 
 def test_random_weights_always_valid():
@@ -93,22 +93,20 @@ def test_random_weights_always_valid():
         rng = Lcg64(seed)
         e = 1 + rng.below(12)
         r = 1 + rng.below(10)
-        w = random_weights(e, r, seed)
+        w = _draw_weights(Lcg64(seed), e, r)
         validate_weights(w.entries)
         assert w.rank == r
         assert w.ramification == e
-    with pytest.raises(InvalidArgumentError):
-        random_weights(0, 1, 1)
 
 
 def test_random_weights_deterministic():
-    assert random_weights(6, 5, 31).entries == random_weights(6, 5, 31).entries
+    assert _draw_weights(Lcg64(31), 6, 5).entries == _draw_weights(Lcg64(31), 6, 5).entries
 
 
 def test_random_bundle_deterministic_and_valid():
     for seed in (0, 1, 17, 31337):
-        a = random_bundle(seed)
-        b = random_bundle(seed)
+        a = _draw_bundle(Lcg64(seed))
+        b = _draw_bundle(Lcg64(seed))
         assert a == b
         assert 1 <= a.rank <= 6
         assert 0 <= a.curve.genus <= 5
@@ -122,7 +120,7 @@ def _as_tuple(b):
 
 def test_bundle_draws_are_pinned(monkeypatch):
     # exact draws recorded before the sampling ranges became constants
-    assert [_as_tuple(random_bundle(seed)) for seed in (0, 1, 17, 31337)] == [
+    assert [_as_tuple(_draw_bundle(Lcg64(seed))) for seed in (0, 1, 17, 31337)] == [
         (1, 2, -1, ((2, 7, (2, 2, 1, 1, 0, 0, 0, 0)), (1, 7, (2, 2, 1, 1, 0, 0, 0, 0)))),
         (4, 3, -2, ((3, 8, (3, 3, 3, 3, 2, 2, 2, 1, 0)), (3, 4, (3, 3, 3, 3, 0)),
                     (2, 6, (3, 3, 1, 0, 0, 0, 0)))),
@@ -135,7 +133,7 @@ def test_bundle_draws_are_pinned(monkeypatch):
     monkeypatch.setattr(oracle, "_check_ed_consistency",
                         lambda report, b: seen.append(_as_tuple(b)))
     ed_consistency_suite(1, seed=3)
-    # the same draws as random_bundle(3) = (0, 5, -4, ...), but genus from 2..5
+    # the same draws as _draw_bundle(Lcg64(3)) = (0, 5, -4, ...), but genus from 2..5
     assert seen == [(4, 5, -4, ((1, 2, (5, 0, 0)),))]
 
 
@@ -298,7 +296,8 @@ def test_verify_chi_two_routes():
     assert _checked(_check_chi, bundle_on(3, 2, 0)).passed
     for e in range(1, 6):
         for i in range(e):
-            assert _checked(_check_chi, root_line_bundle(2, e, i)).passed
+            b = bundle_on(2, 1, 0, [(1, e, root_line_datum(i, e).entries)])
+            assert _checked(_check_chi, b).passed
     assert chi_suite(50, seed=11).passed
 
 

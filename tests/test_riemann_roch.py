@@ -17,9 +17,8 @@ from parabolic.core import (
 )
 from parabolic.cyclotomic import inertia_total
 from parabolic.errors import InternalInconsistencyError
-from parabolic.oracle import random_weights
+from parabolic.oracle import Lcg64, _draw_weights
 from parabolic.riemann_roch import (
-    correction_term,
     end_bundle,
     end_euler_char,
     euler_char,
@@ -33,10 +32,16 @@ def _point(f, e, weights):
     return ParabolicPoint(f, e, validate_weights(weights))
 
 
+def _correction(p):
+    # the sum of d * (n_d - n_{d+1}) / e telescopes to (n_1 + ... + n_{e-1}) / e
+    return Fraction(sum(p.weights.entries[1:-1]), p.ramification)
+
+
 def test_correction_term_examples():
-    assert correction_term(_point(1, 3, [2, 1, 1, 0])) == Fraction(2, 3)
-    assert correction_term(_point(1, 4, [5, 0, 0, 0, 0])) == 0
-    assert correction_term(_point(1, 2, [2, 1, 0])) == Fraction(1, 2)
+    for weights, correction in (([2, 1, 1, 0], Fraction(2, 3)), ([5, 0, 0, 0, 0], 0),
+                                ([2, 1, 0], Fraction(1, 2))):
+        b = bundle_on(0, weights[0], 0, [(1, len(weights) - 1, weights)])
+        assert euler_char(b).corrections == ((0, correction),)
 
 
 def test_stacky_degree_examples():
@@ -90,13 +95,13 @@ def test_inertia_bundle_total_examples():
 def test_inertia_bundle_total_closed_form():
     p = _point(1, 5, [4, 3, 3, 1, 0, 0])
     r, e = 4, 5
-    assert inertia_bundle_total(p) == Fraction(r * (e - 1), 2 * e) - correction_term(p)
+    assert inertia_bundle_total(p) == Fraction(r * (e - 1), 2 * e) - _correction(p)
     zero_heavy = 0
     for seed in range(500):
         # e up to 40 against r up to 6: most draws have many zero jumps
         e, r = 1 + seed % 40, 1 + seed % 6
-        p = ParabolicPoint(1, e, random_weights(e, r, seed))
-        assert inertia_bundle_total(p) == Fraction(r * (e - 1), 2 * e) - correction_term(p)
+        p = ParabolicPoint(1, e, _draw_weights(Lcg64(seed), e, r))
+        assert inertia_bundle_total(p) == Fraction(r * (e - 1), 2 * e) - _correction(p)
         zero_heavy += sum(1 for x in jumps(p.weights) if x == 0) > e // 2
     assert zero_heavy > 250
 
@@ -108,7 +113,7 @@ def test_inertia_bundle_total_skips_zero_jumps(monkeypatch):
                         lambda e, d: calls.append((e, d)) or true_total(e, d))
     # jumps (0, 2, 0, 0, 1, 0, 0, 0, 3): three nonzero out of nine
     p = _point(1, 9, [6, 6, 4, 4, 4, 3, 3, 3, 3, 0])
-    assert inertia_bundle_total(p) == Fraction(6 * 8, 18) - correction_term(p)
+    assert inertia_bundle_total(p) == Fraction(6 * 8, 18) - _correction(p)
     assert calls == [(9, 1), (9, 4), (9, 8)]
     calls.clear()
     # a root line: one nonzero jump out of e
@@ -238,7 +243,7 @@ def _seeded_bundles():
     for shape in shapes:
         for _ in range(8):
             rank = rng.randint(1, 7)
-            points = [(f, e, random_weights(e, rank, rng.randrange(10**6)).entries)
+            points = [(f, e, _draw_weights(Lcg64(rng.randrange(10**6)), e, rank).entries)
                       for f, e in shape]
             yield bundle_on(rng.randint(0, 5), rank, rng.randint(-12, 12), points)
 
