@@ -6,35 +6,14 @@ essential-(p-)dimension bounds, all in exact rational and cyclotomic
 arithmetic, each closed form cross-checked against an independent
 brute-force oracle.
 
-``cyclotomic`` and ``oracle`` are lazy modules: each is registered in
-``sys.modules`` and bound on the package at once, but its code runs on the
-first attribute access, so the document commands compile neither.
+``cyclotomic`` (the Q(zeta_e) field) and ``oracle`` are lazy modules,
+registered here after the eager imports: each is bound on the package and in
+``sys.modules`` at once, but its code runs on its first attribute access.
+The document commands execute neither, and ``verify`` only ``oracle``.
 """
 
 import importlib.util
 import sys
-
-
-def _lazy(name: str):
-    """Register the module ``name``, whose code runs on its first attribute access."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    parent, _, child = name.rpartition(".")
-    setattr(sys.modules[parent], child, module)
-    return module
-
-
-# bound before the eager imports: riemann_roch takes it with ``from . import cyclotomic``
-cyclotomic = _lazy(__name__ + ".cyclotomic")
-_CYCLOTOMIC_NAMES = frozenset({
-    "CycloElem", "CycloField", "cyclo_field", "cyclotomic_poly", "geometric_sum",
-    "inertia_term", "inertia_total", "inverse_sum", "ratio_sum", "shifted_sum",
-})
 
 from .bounds import (
     EdReport,
@@ -78,10 +57,33 @@ from .riemann_roch import (
     end_bundle,
     end_euler_char,
     euler_char,
+    geometric_sum,
     global_term,
     inertia_bundle_total,
+    inertia_total,
+    inverse_sum,
+    ratio_sum,
+    shifted_sum,
     stacky_degree,
 )
+
+
+def _lazy(name: str):
+    """Register the module ``name``, whose code runs on its first attribute access."""
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# registered after the eager imports, none of which takes either module
+cyclotomic = _lazy(__name__ + ".cyclotomic")
+oracle = _lazy(__name__ + ".oracle")
+_CYCLOTOMIC_NAMES = frozenset({
+    "CycloElem", "CycloField", "cyclo_field", "cyclotomic_poly", "inertia_term",
+})
 
 __version__ = "0.1.0"
 

@@ -31,7 +31,7 @@ import json
 import sys
 from typing import Any, Callable, Sequence, TextIO
 
-from . import _lazy
+from . import oracle
 from .bounds import (
     GradedPiece,
     ed_p_value,
@@ -54,9 +54,6 @@ from .core import (
 from .errors import HypothesisViolationError, InputError, InvalidArgumentError
 from .exact_arith import is_prime
 from .riemann_roch import end_bundle, end_euler_char, euler_char, stacky_degree
-
-# only verify runs the oracle; the document commands never execute its code
-oracle = _lazy(__package__ + ".oracle")
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 1

@@ -6,8 +6,8 @@ Phi_e: an integer numerator vector over one positive common denominator
 int arithmetic.  Every inverse, (zeta^i - 1)^-1 included, is one
 fraction-free extended Euclid run against Phi_e.
 
-The root-of-unity sums are closed forms.  ``oracle`` checks each of them
-against the exact value of its sum, recovered at one split prime.
+The closed forms of the root-of-unity sums need no field arithmetic: they
+are defined in ``riemann_roch`` and bound here under the same names.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 from .core import FrozenValue
 from .errors import InternalInconsistencyError, InvalidArgumentError
+from .riemann_roch import geometric_sum, inertia_total, inverse_sum, ratio_sum, shifted_sum
 
 
 def cyclotomic_poly(e: int) -> tuple[int, ...]:
@@ -275,48 +276,12 @@ class CycloElem(FrozenValue):
         return f"CycloElem(e={self.field.e}, coeffs={self.coeff_strings()})"
 
 
-def _check_sum_domain(e: int) -> None:
-    if e < 2:
-        raise InvalidArgumentError(f"root-of-unity sums require e >= 2, got {e}")
-
-
-def geometric_sum(e: int, k: int) -> Fraction:
-    """Closed form e - 1 at k = 0, else -1, for the sum of zeta^(i*k) over i = 1..e-1."""
-    _check_sum_domain(e)
-    if not 0 <= k < e:
-        raise InvalidArgumentError(f"geometric_sum requires 0 <= k < e, got k={k}")
-    return Fraction(e - 1 if k == 0 else -1)
-
-
-def inverse_sum(e: int) -> Fraction:
-    """Closed form -(e - 1)/2 for the sum of 1/(zeta^i - 1) over i = 1..e-1."""
-    _check_sum_domain(e)
-    return Fraction(1 - e, 2)
-
-
-def ratio_sum(e: int, d: int) -> Fraction:
-    """Closed form e - d for the sum of (zeta^(i*d) - 1)/(zeta^i - 1) over i = 1..e-1."""
-    _check_sum_domain(e)
-    if not 0 < d < e:
-        raise InvalidArgumentError(f"ratio_sum requires 0 < d < e, got d={d}")
-    return Fraction(e - d)
-
-
-def shifted_sum(e: int, d: int) -> Fraction:
-    """Closed form (e - 2d + 1)/2 for the sum of zeta^(i*d)/(zeta^i - 1) over i = 1..e-1."""
-    _check_sum_domain(e)
-    if not 0 < d <= e:
-        raise InvalidArgumentError(f"shifted_sum requires 0 < d <= e, got d={d}")
-    return Fraction(e - 2 * d + 1, 2)
-
-
 def inertia_term(e: int, d: int, i: int) -> CycloElem:
     """The exact element (1/e) * zeta^(i*d) / (1 - zeta^(-i)) of Q(zeta_e).
 
     One inertia-component contribution; 0 < i < e keeps the denominator
     away from zero.
     """
-    _check_sum_domain(e)
     if not 0 < i < e:
         raise InvalidArgumentError(f"inertia_term requires 0 < i < e, got i={i}")
     if not 0 <= d < e:
@@ -324,16 +289,3 @@ def inertia_term(e: int, d: int, i: int) -> CycloElem:
     field = cyclo_field(e)
     # 1/(1 - zeta^(-i)) == -(zeta^(e-i) - 1)^(-1)
     return field.zeta_pow(i * d) * field.inv_omega_minus_one(e - i) * Fraction(-1, e)
-
-
-def inertia_total(e: int, d: int) -> Fraction:
-    """Closed form (e - 1 - 2d)/(2e) for the full inertia sum at one point.
-
-    Equals the sum of inertia_term(e, d, i) over i = 1..e-1; the e = 1 case
-    is the empty sum 0.
-    """
-    if e < 1:
-        raise InvalidArgumentError(f"inertia_total requires e >= 1, got {e}")
-    if not 0 <= d < e:
-        raise InvalidArgumentError(f"inertia_total requires 0 <= d < e, got d={d}")
-    return Fraction(e - 1 - 2 * d, 2 * e)

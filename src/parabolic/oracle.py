@@ -5,8 +5,8 @@ Each verifier recomputes a quantity along a structurally different path
 a split prime instead of closed forms) and reports exact mismatches.  All
 arithmetic is exact, so any failure is a defect, never a tolerance issue.
 
-The root-of-unity sums and the inertia totals use no ``cyclotomic``
-arithmetic.  ``root_of_unity_suites`` computes, once per e,
+The root-of-unity sums and the inertia totals are checked with no
+``cyclotomic`` arithmetic.  ``root_of_unity_suites`` computes, once per e,
 E_d = sum_i e zeta^(id)/(zeta^i - 1) and G_d = sum_i zeta^(id), d = 0..e-1,
 and compares every closed form of both reports with a rational multiple of one.
 Both sums run over all 0 < i < e, so they are fixed by every automorphism
@@ -44,13 +44,6 @@ from .core import (
     jumps,
     root_line_datum,
 )
-from .cyclotomic import (
-    geometric_sum,
-    inertia_total,
-    inverse_sum,
-    ratio_sum,
-    shifted_sum,
-)
 from .errors import InvalidArgumentError
 from .exact_arith import factorize, is_prime
 from .riemann_roch import (
@@ -58,8 +51,13 @@ from .riemann_roch import (
     end_bundle,
     end_euler_char,
     euler_char,
+    geometric_sum,
     global_term,
     inertia_bundle_total,
+    inertia_total,
+    inverse_sum,
+    ratio_sum,
+    shifted_sum,
 )
 
 

@@ -4,7 +4,8 @@ The Euler characteristic of a parabolic bundle splits as a classical part
 (degree plus (1 - g) * rank, with the degree measured on the orbifold) minus
 a weighted jump correction per marked point; equivalently as a global
 integral plus a sum of inertia contributions.  Both assemblies are computed
-here and cross-checked by the oracle module.  Each value is one ``Fraction``
+here and cross-checked by the oracle module, as are the rational closed forms
+of the inertia totals and the root-of-unity sums.  Each value is one ``Fraction``
 built from integer numerators over a common denominator (a multiple of lcm(e_i)).
 """
 
@@ -14,7 +15,6 @@ import math
 from fractions import Fraction
 from typing import Iterable
 
-from . import cyclotomic
 from .core import (
     FrozenValue,
     OrbifoldCurve,
@@ -24,7 +24,7 @@ from .core import (
     hom_datum,
     jumps,
 )
-from .errors import InternalInconsistencyError
+from .errors import InternalInconsistencyError, InvalidArgumentError
 
 
 class ChiReport(FrozenValue):
@@ -95,6 +95,54 @@ def global_term(
     return Fraction(total, den)
 
 
+def _check_sum_domain(e: int) -> None:
+    if e < 2:
+        raise InvalidArgumentError(f"root-of-unity sums require e >= 2, got {e}")
+
+
+def geometric_sum(e: int, k: int) -> Fraction:
+    """Closed form e - 1 at k = 0, else -1, for the sum of zeta^(i*k) over i = 1..e-1."""
+    _check_sum_domain(e)
+    if not 0 <= k < e:
+        raise InvalidArgumentError(f"geometric_sum requires 0 <= k < e, got k={k}")
+    return Fraction(e - 1 if k == 0 else -1)
+
+
+def inverse_sum(e: int) -> Fraction:
+    """Closed form -(e - 1)/2 for the sum of 1/(zeta^i - 1) over i = 1..e-1."""
+    _check_sum_domain(e)
+    return Fraction(1 - e, 2)
+
+
+def ratio_sum(e: int, d: int) -> Fraction:
+    """Closed form e - d for the sum of (zeta^(i*d) - 1)/(zeta^i - 1) over i = 1..e-1."""
+    _check_sum_domain(e)
+    if not 0 < d < e:
+        raise InvalidArgumentError(f"ratio_sum requires 0 < d < e, got d={d}")
+    return Fraction(e - d)
+
+
+def shifted_sum(e: int, d: int) -> Fraction:
+    """Closed form (e - 2d + 1)/2 for the sum of zeta^(i*d)/(zeta^i - 1) over i = 1..e-1."""
+    _check_sum_domain(e)
+    if not 0 < d <= e:
+        raise InvalidArgumentError(f"shifted_sum requires 0 < d <= e, got d={d}")
+    return Fraction(e - 2 * d + 1, 2)
+
+
+def inertia_total(e: int, d: int) -> Fraction:
+    """Closed form (e - 1 - 2d)/(2e) for the full inertia sum at one point.
+
+    Equals the sum of inertia_term(e, d, i) over i = 1..e-1; the e = 1 case
+    is the empty sum 0.
+    """
+    if e < 1:
+        raise InvalidArgumentError(f"inertia_total requires e >= 1, got {e}")
+    if not 0 <= d < e:
+        raise InvalidArgumentError(f"inertia_total requires 0 <= d < e, got d={d}")
+    return Fraction(e - 1 - 2 * d, 2 * e)
+
+
 def inertia_bundle_total(point: ParabolicPoint) -> Fraction:
     """Inertia contribution of one point: jump-weighted inertia totals.
 
@@ -104,7 +152,7 @@ def inertia_bundle_total(point: ParabolicPoint) -> Fraction:
     total = 0  # over 2e, which every inertia_total(e, d) denominator divides
     for d, delta in enumerate(jumps(point.weights)):
         if delta:
-            t = cyclotomic.inertia_total(e, d)
+            t = inertia_total(e, d)
             total += delta * t.numerator * (2 * e // t.denominator)
     return Fraction(total, 2 * e)
 

@@ -474,11 +474,11 @@ def _loaded_after(statement, module):
 LAZY_MODULES = ("parabolic.cyclotomic", "parabolic.oracle")
 
 
-def _executed_after(statement):
-    # which lazy modules have run their code: each must stay in sys.modules, and
-    # type() reads no attribute, so executed() itself loads nothing
+def _executed_after(statement, module="parabolic.cli"):
+    # which lazy modules have run their code after importing module: each must stay
+    # in sys.modules, and type() reads no attribute, so executed() itself loads nothing
     return json.loads(_fresh(
-        "import json, sys, types, parabolic.cli\n"
+        f"import json, sys, types, {module}\n"
         f"def executed(): return [type(sys.modules[m]) is types.ModuleType for m in {LAZY_MODULES!r}]\n"
         f"{statement}\nprint(json.dumps(executed()))"))
 
@@ -498,15 +498,43 @@ def test_document_commands_leave_the_lazy_modules_unexecuted():
 
 
 def test_verify_executes_the_lazy_modules():
-    assert _executed_after("import io; out = io.StringIO(); "
-                           "assert parabolic.cli.run(['verify'], out, out) == 0") == [True, True]
+    # the oracle only: no suite of verify uses the Q(zeta_e) field
+    assert _executed_after(
+        "import io\n"
+        "for argv in [['verify'], ['verify', '--e-max', '150', '--random', '0']]:\n"
+        "    out = io.StringIO()\n"
+        "    assert parabolic.cli.run(argv, out, out) == 0, argv\n"
+        "    assert executed() == [False, True], argv") == [False, True]
+
+
+def test_importing_the_package_registers_both_lazy_modules_unexecuted():
+    # the package registers them itself; nothing of the CLI is needed for that
+    assert _executed_after("assert 'parabolic.cli' not in sys.modules; "
+                           "assert parabolic.cyclotomic is sys.modules['parabolic.cyclotomic']; "
+                           "assert parabolic.oracle is sys.modules['parabolic.oracle']",
+                           module="parabolic") == [False, False]
+
+
+CLOSED_FORMS = ("geometric_sum", "inverse_sum", "ratio_sum", "shifted_sum", "inertia_total")
 
 
 def test_perfbench_finds_run_all_after_importing_the_cli():
-    # perfbench's span installer reads vars() of each layer module right after the import
+    # perfbench's span installer reads vars() of each layer module right after the
+    # import, and its layer probes read these names on parabolic.cyclotomic
+    field_names = ("cyclo_field", "cyclotomic_poly", "inertia_term", "geometric_sum",
+                   "inverse_sum", "ratio_sum", "shifted_sum")
     assert _executed_after(
         "assert 'run_all' in vars(sys.modules['parabolic.oracle']); "
-        "assert 'inertia_total' in vars(sys.modules['parabolic.cyclotomic'])") == [True, True]
+        f"assert set({field_names!r}) <= set(vars(sys.modules['parabolic.cyclotomic']))"
+    ) == [True, True]
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_each_closed_form_is_one_object(name):
+    # defined in riemann_roch; the package and the field module bind the same function
+    function = getattr(parabolic.riemann_roch, name)
+    assert function.__module__ == "parabolic.riemann_roch"
+    assert getattr(parabolic, name) is function is getattr(parabolic.cyclotomic, name)
 
 
 def test_the_cli_reuses_an_oracle_imported_before_it():
@@ -534,7 +562,7 @@ def test_import_forms_work_on_the_lazy_field():
 REMOVED_NAMES = {
     "parabolic": ("correction_term", "gcd_list", "rational_str", "euler_phi"),
     "parabolic.exact_arith": ("gcd_list", "rational_str", "euler_phi", "divisors"),
-    "parabolic.riemann_roch": ("correction_term", "inertia_total"),
+    "parabolic.riemann_roch": ("correction_term",),
     "parabolic.oracle": ("random_weights", "random_bundle", "root_line_bundle"),
     "parabolic.cli": ("run_all",),
 }

@@ -221,6 +221,16 @@ def test_inertia_term_rejects_i_and_d_out_of_range():
         with pytest.raises(InvalidArgumentError,
                            match=rf"^inertia_term requires 0 <= d < e, got d={e}$"):
             inertia_term(e, e, 1)
+    # no 0 < i < e exists below e = 2, so the i check refuses e = 1 and e = 0
+    for e in (0, 1):
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^inertia_term requires 0 < i < e, got i=1$"):
+            inertia_term(e, 0, 1)
+    for family, args in [(geometric_sum, (0,)), (inverse_sum, ()), (ratio_sum, (1,)),
+                         (shifted_sum, (1,))]:
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^root-of-unity sums require e >= 2, got 1$"):
+            family(1, *args)
 
 
 def test_inertia_total_examples():

@@ -52,19 +52,19 @@ MUTANTS = {
         [("riemann_roch.py", "chi = classical - weighted", "chi = classical")],
         RECORD, ("root-line-chi", "end-chi-two-routes")),
     "inertia_total d for 2d": (
-        [("cyclotomic.py", "Fraction(e - 1 - 2 * d, 2 * e)", "Fraction(e - 1 - d, 2 * e)")],
+        [("riemann_roch.py", "Fraction(e - 1 - 2 * d, 2 * e)", "Fraction(e - 1 - d, 2 * e)")],
         RECORD, ("inertia-totals", "root-line-chi")),
     "shifted_sum + 1": (
-        [("cyclotomic.py", "Fraction(e - 2 * d + 1, 2)", "Fraction(e - 2 * d + 3, 2)")],
+        [("riemann_roch.py", "Fraction(e - 2 * d + 1, 2)", "Fraction(e - 2 * d + 3, 2)")],
         RECORD, ("cyclotomic-identities",)),
     "ratio_sum + 1": (
-        [("cyclotomic.py", "return Fraction(e - d)", "return Fraction(e - d + 1)")],
+        [("riemann_roch.py", "return Fraction(e - d)", "return Fraction(e - d + 1)")],
         RECORD, ("cyclotomic-identities",)),
     "inverse_sum + 1": (
-        [("cyclotomic.py", "return Fraction(1 - e, 2)", "return Fraction(3 - e, 2)")],
+        [("riemann_roch.py", "return Fraction(1 - e, 2)", "return Fraction(3 - e, 2)")],
         RECORD, ("cyclotomic-identities",)),
     "geometric_sum e at k = 0": (
-        [("cyclotomic.py", "Fraction(e - 1 if k == 0 else -1)", "Fraction(e if k == 0 else -1)")],
+        [("riemann_roch.py", "Fraction(e - 1 if k == 0 else -1)", "Fraction(e if k == 0 else -1)")],
         RECORD, ("cyclotomic-identities",)),
     "gerbe_ed_upper v_p - 1": (
         [("bounds.py", "sum(p**a - 1 for p, a", "sum(a - 1 for p, a")],

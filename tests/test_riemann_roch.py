@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parabolic import cyclotomic, riemann_roch
+from parabolic import riemann_roch
 from parabolic.core import (
     OrbifoldCurve,
     ParabolicBundle,
@@ -15,7 +15,6 @@ from parabolic.core import (
     root_line_datum,
     validate_weights,
 )
-from parabolic.cyclotomic import inertia_total
 from parabolic.errors import InternalInconsistencyError
 from parabolic.oracle import Lcg64, _draw_weights
 from parabolic.riemann_roch import (
@@ -24,6 +23,7 @@ from parabolic.riemann_roch import (
     euler_char,
     global_term,
     inertia_bundle_total,
+    inertia_total,
     stacky_degree,
 )
 
@@ -108,8 +108,8 @@ def test_inertia_bundle_total_closed_form():
 
 def test_inertia_bundle_total_skips_zero_jumps(monkeypatch):
     calls = []
-    true_total = cyclotomic.inertia_total
-    monkeypatch.setattr(cyclotomic, "inertia_total",
+    true_total = riemann_roch.inertia_total
+    monkeypatch.setattr(riemann_roch, "inertia_total",
                         lambda e, d: calls.append((e, d)) or true_total(e, d))
     # jumps (0, 2, 0, 0, 1, 0, 0, 0, 3): three nonzero out of nine
     p = _point(1, 9, [6, 6, 4, 4, 4, 3, 3, 3, 3, 0])
