@@ -64,11 +64,18 @@ class EdReport(FrozenValue):
 
 
 def gerbe_index(bundle: ParabolicBundle) -> int:
-    """h = gcd of rank, |degree|, and all interior weights n_{i,j}, 0 < j < e_i."""
-    values = [bundle.rank, abs(bundle.degree)]
-    for p in bundle.curve.points:
-        values.extend(p.weights.entries[1 : p.ramification])
-    return math.gcd(*values)
+    """h = gcd of rank, |degree|, and all interior weights n_{i,j}, 0 < j < e_i.
+
+    Computed on the first call for this bundle object and stored on it.
+    """
+    h = getattr(bundle, "_gerbe_index", None)
+    if h is None:
+        values = [bundle.rank, abs(bundle.degree)]
+        for p in bundle.curve.points:
+            values.extend(p.weights.entries[1 : p.ramification])
+        h = math.gcd(*values)
+        object.__setattr__(bundle, "_gerbe_index", h)
+    return h
 
 
 def gerbe_ed_upper(n: int) -> int:

@@ -69,9 +69,10 @@ MAX_INT_DIGITS = 1000
 MAX_SEED_DIGITS = 4000
 # bounds the length of every weight vector and of every per-point loop
 MAX_RAMIFICATION_TOTAL = 1000
-# hom-datum multiplies every pair of jumps at each point, about e^2 products of
-# numbers as long as the rank: at this cap on the sum of e^2 times the rank's
-# digit count, one document takes at most about 0.15 s in-process (2-vCPU host)
+# hom-datum multiplies each unordered pair of nonzero jumps at each point once, at
+# most e(e - 1)/2 products of numbers as long as the rank: at this cap on the sum
+# of e^2 times the rank's digit count, one document takes at most about 0.07 s
+# in-process (2-vCPU host)
 _MAX_HOM_DATUM_WORK = 10**7
 
 

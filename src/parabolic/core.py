@@ -9,6 +9,7 @@ action.
 from __future__ import annotations
 
 import operator
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import InvalidArgumentError, InvalidWeightsError
@@ -99,8 +100,15 @@ def flag_dim(w: Weights) -> int:
 
 
 def flag_total(bundle: ParabolicBundle) -> int:
-    """Residue-degree-weighted sum of the flag dimensions at all points."""
-    return sum(p.degree * flag_dim(p.weights) for p in bundle.curve.points)
+    """Residue-degree-weighted sum of the flag dimensions at all points.
+
+    Computed on the first call for this bundle object and stored on it.
+    """
+    total = getattr(bundle, "_flag_total", None)
+    if total is None:
+        total = sum(p.degree * flag_dim(p.weights) for p in bundle.curve.points)
+        object.__setattr__(bundle, "_flag_total", total)
+    return total
 
 
 def hom_datum(w: Weights) -> Weights:
@@ -108,18 +116,20 @@ def hom_datum(w: Weights) -> Weights:
 
     m_d counts jump pairs (i, j) with (i - j) mod e >= d, weighted by
     delta_i * delta_j, so m_0 = n_0^2 and m_d - m_{d+1} is the dimension of
-    the part where the local action has weight d.
+    the part where the local action has weight d.  Each unordered pair j < i
+    of nonzero jumps is visited once and counts at i - j and at e - (i - j).
     """
     e = w.ramification
     nonzero = [(i, x) for i, x in enumerate(jumps(w)) if x]
     cls = [0] * e
-    for i, x in nonzero:
-        for j, y in nonzero:
-            cls[(i - j) % e] += x * y
-    m = [0] * (e + 1)
-    for d in range(e - 1, -1, -1):
-        m[d] = m[d + 1] + cls[d]
-    return Weights(tuple(m))
+    for k, (i, x) in enumerate(nonzero):
+        cls[0] += x * x
+        for j, y in nonzero[:k]:
+            p = x * y
+            cls[i - j] += p
+            cls[e - (i - j)] += p
+    m = list(accumulate(reversed(cls), initial=0))  # m_e = 0, m_{e-1}, ..., m_0
+    return Weights(tuple(reversed(m)))
 
 
 def root_line_datum(i: int, e: int) -> Weights:
@@ -166,7 +176,16 @@ class OrbifoldCurve(FrozenValue):
         object.__setattr__(self, "points", points)
 
 
-class ParabolicBundle(FrozenValue):
+class _BundleMemo(FrozenValue):
+    """Slots for the values that flag_total and bounds.gerbe_index compute on
+    first use.  FrozenValue reads the concrete class's own ``__slots__``, so
+    these are not fields: equality, hash, repr, copy and pickling ignore
+    them, and a copy or an unpickled bundle computes them again."""
+
+    __slots__ = ("_flag_total", "_gerbe_index")
+
+
+class ParabolicBundle(_BundleMemo):
     """A parabolic bundle: curve, rank, and degree of the underlying bundle."""
 
     __slots__ = ("curve", "rank", "degree")

@@ -1,7 +1,12 @@
+import math
+import pickle
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parabolic import bounds, core
 from parabolic.bounds import (
     GradedPiece,
     ed_p_value,
@@ -17,6 +22,7 @@ from parabolic.bounds import (
 from parabolic.core import bundle_on, validate_weights
 from parabolic.errors import HypothesisViolationError, InvalidArgumentError
 from parabolic.exact_arith import factorize
+from parabolic.riemann_roch import end_euler_char
 
 
 def test_gerbe_index_examples():
@@ -175,6 +181,30 @@ def test_ed_report_serialization():
     assert repp.to_json_obj()["prime"] == 3
     assert repp.to_json_obj()["conjectural"] is False
 
+
+def test_a_bundle_computes_its_flag_total_and_gerbe_index_once(monkeypatch):
+    calls = {"flag_dim": 0, "gcd": 0}
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(core, "flag_dim", counted("flag_dim", core.flag_dim))
+    # a namespace, not math.gcd itself, which every Fraction calls
+    monkeypatch.setattr(bounds, "math", SimpleNamespace(gcd=counted("gcd", math.gcd)))
+    data = (2, 12, 18, [(1, 3, [12, 6, 6, 0]), (2, 2, [12, 6, 0])])  # h = 6
+    for b in (bundle_on(*data), bundle_on(*data)):  # the second, equal bundle counts again
+        calls.update(flag_dim=0, gcd=0)
+        end_euler_char(b)
+        ed_upper_bound(b)
+        for p in (2, 3):
+            ed_p_value(b, p)
+        assert calls == {"flag_dim": 2, "gcd": 1}
+        fresh = bundle_on(*data)
+        assert b == fresh and hash(b) == hash(fresh) and repr(b) == repr(fresh)
+        assert pickle.dumps(b) == pickle.dumps(fresh) and pickle.loads(pickle.dumps(b)) == fresh
 
 @given(
     st.integers(min_value=2, max_value=5),

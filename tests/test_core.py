@@ -157,6 +157,15 @@ def test_hom_datum_matches_all_pairs():
     for e in range(1, 40):
         w = validate_weights(range(e, -1, -1))
         assert hom_datum(w).entries == _all_pairs_hom_datum(w)
+    # the benchmark's shapes: e up to 64, rank up to 24 from at most 6 jumps
+    for seed in range(32):
+        e, r, mult = 64 - 2 * seed, 1 + seed % 6, 1 + seed % 4
+        w = validate_weights(mult * n for n in _draw_weights(Lcg64(seed), e, r).entries)
+        assert hom_datum(w).entries == _all_pairs_hom_datum(w)
+    # a single jump, at either end or inside, and e = 1
+    for e, level, r in [(64, 0, 24), (64, 63, 24), (37, 12, 5), (2, 1, 3), (1, 0, 24), (1, 0, 1)]:
+        w = validate_weights([r] * (level + 1) + [0] * (e - level))
+        assert hom_datum(w).entries == _all_pairs_hom_datum(w)
 
 
 @given(weight_vectors())

@@ -89,10 +89,13 @@ MUTANTS = {
         [("core.py", "l = i % e", "l = (i + 1) % e")],
         RECORD, ("root-line-chi",)),
     "hom_datum (i + j)": (
-        [("core.py", "cls[(i - j) % e]", "cls[(i + j) % e]")],
+        [("core.py", "cls[i - j] += p", "cls[(i + j) % e] += p")],
         INTERNAL, ()),
     "hom_datum cls[d + 1]": (
-        [("core.py", "m[d + 1] + cls[d]", "m[d + 1] + cls[(d + 1) % e]")],
+        [("core.py", "cls[e - (i - j)] += p", "cls[(e - (i - j) + 1) % e] += p")],
+        INTERNAL, ()),
+    "hom_datum drops the diagonal": (
+        [("core.py", "        cls[0] += x * x\n", "")],
         INTERNAL, ()),
     "correction d + 1": (
         # sum(n_0..n_{e-1}) is the sum of (d + 1) * (n_d - n_{d+1}) over d < e
