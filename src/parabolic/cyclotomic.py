@@ -122,12 +122,6 @@ class CycloField:
     def __hash__(self) -> int:
         return hash(("CycloField", self.e))
 
-    def zero(self) -> "CycloElem":
-        return self.from_rational(0)
-
-    def one(self) -> "CycloElem":
-        return self.from_rational(1)
-
     def from_rational(self, q: Fraction | int) -> "CycloElem":
         q = Fraction(q)
         return CycloElem(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
@@ -153,9 +147,6 @@ class CycloField:
                     rem[base + j] -= c * m
         del rem[deg:]
         return _normalised(self, rem + [0] * (deg - len(rem)), den)
-
-    def zeta(self) -> "CycloElem":
-        return self.zeta_pow(1)
 
     def zeta_pow(self, k: int) -> "CycloElem":
         """zeta^k for any integer k: the monomial x^(k mod e), reduced."""
@@ -220,10 +211,6 @@ class CycloElem(FrozenValue):
         o = self._coerce(other)
         return NotImplemented if o is None else self + (-o)
 
-    def __rsub__(self, other: object) -> "CycloElem":
-        o = self._coerce(other)
-        return NotImplemented if o is None else o + (-self)
-
     def __neg__(self) -> "CycloElem":
         return CycloElem(self.field, tuple(-a for a in self.num), self.den)
 
@@ -234,25 +221,6 @@ class CycloElem(FrozenValue):
         return self.field._reduced(_poly_mul(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> "CycloElem":
-        o = self._coerce(other)
-        return NotImplemented if o is None else self * o.inverse()
-
-    def __rtruediv__(self, other: object) -> "CycloElem":
-        o = self._coerce(other)
-        return NotImplemented if o is None else self.inverse() * o
-
-    def __pow__(self, n: int) -> "CycloElem":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result, base = self.field.one(), self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def inverse(self) -> "CycloElem":
         if not any(self.num):

@@ -587,6 +587,18 @@ def test_removed_names_stay_removed_and_star_import_binds_all():
     ) == "[]"
 
 
+def test_removed_field_operations_stay_removed():
+    # README, "Removed names": from_rational(0), from_rational(1), zeta_pow(1),
+    # a * b.inverse() and repeated * replace them
+    field = parabolic.cyclo_field(5)
+    for name in ("zero", "one", "zeta"):
+        assert not hasattr(field, name), name
+    z = field.zeta_pow(1)
+    for operation in (lambda: z / 2, lambda: 2 / z, lambda: 2 - z, lambda: z ** 2):
+        with pytest.raises(TypeError):
+            operation()
+
+
 def test_importing_the_cli_leaves_bigprime_unloaded():
     # document commands pay for every module the CLI imports at start-up
     assert not _loaded_after("pass", "parabolic.bigprime")

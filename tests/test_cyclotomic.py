@@ -79,32 +79,31 @@ def test_cyclotomic_degree_is_totient():
 
 def test_field_basics():
     f = cyclo_field(4)
-    z = f.zeta()
+    z = f.zeta_pow(1)
     assert (z * z).to_rational() == -1
-    assert z**4 == f.one()
-    assert f.zeta_pow(7) == f.zeta_pow(3) == z**3
+    assert z * z * z * z == f.from_rational(1)
+    assert f.zeta_pow(7) == f.zeta_pow(3) == z * z * z
     assert (z - z).to_rational() == 0
     inv = z.inverse()
-    assert (z * inv) == f.one()
+    assert (z * inv) == f.from_rational(1)
     with pytest.raises(ZeroDivisionError):
-        f.zero().inverse()
+        f.from_rational(0).inverse()
 
 
 def test_mixed_field_arithmetic_rejected():
     with pytest.raises(InvalidArgumentError):
-        cyclo_field(3).zeta() + cyclo_field(4).zeta()
+        cyclo_field(3).zeta_pow(1) + cyclo_field(4).zeta_pow(1)
 
 
 def test_scalar_arithmetic_and_rationality():
     f = cyclo_field(5)
-    z = f.zeta()
+    z = f.zeta_pow(1)
     x = z + Fraction(3, 2)
     assert (x - z).to_rational() == Fraction(3, 2)
     assert not x.is_rational()
     with pytest.raises(InternalInconsistencyError):
         z.to_rational()
-    assert (2 * z) / 2 == z
-    assert (1 / z) == z.inverse()
+    assert (2 * z) * f.from_rational(2).inverse() == z
 
 
 @given(st.integers(min_value=1, max_value=20), st.data())
@@ -118,8 +117,8 @@ def test_field_arithmetic_properties(e, data):
     b = f.from_cover([data.draw(coeffs) for _ in range(f.degree)])
     assert (a + b) - b == a
     if any(b.coeffs):
-        assert (a * b) / b == a
-    assert a * f.one() == a
+        assert (a * b) * b.inverse() == a
+    assert a * f.from_rational(1) == a
 
 
 RATIONALS = st.one_of(st.integers(min_value=-20, max_value=20),
@@ -134,23 +133,18 @@ def test_rational_operands_act_as_field_elements(e, q, data):
     coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
     a = f.from_cover([data.draw(coeffs) for _ in range(f.degree)])
     r = f.from_rational(q)
-    pairs = [(a * q, a * r), (q * a, r * a), (a + q, a + r), (q - a, r - a)]
-    if q:
-        pairs.append((a / q, a / r))
-    if any(a.num):
-        pairs.append((q / a, r / a))
+    pairs = [(a * q, a * r), (q * a, r * a), (a + q, a + r), (q + a, r + a), (a - q, a - r)]
     for got, want in pairs:
         assert got == want
         _assert_normalised(got)
 
 
 def test_operators_refuse_other_operands():
-    z = cyclo_field(5).zeta()
+    z = cyclo_field(5).zeta_pow(1)
     with pytest.raises(TypeError):
         z + "x"
     with pytest.raises(TypeError):
         z * "x"
-    assert z ** -2 == z.inverse() ** 2
 
 
 def test_geometric_sum_examples():
@@ -247,14 +241,14 @@ def test_inertia_terms_sum_to_total_small():
     # e = 101 runs the generic inverse at a large prime degree
     cases = [(e, d) for e in range(2, 13) for d in range(e)] + [(101, 0), (101, 50)]
     for e, d in cases:
-        total = sum((inertia_term(e, d, i) for i in range(1, e)), cyclo_field(e).zero())
+        total = sum((inertia_term(e, d, i) for i in range(1, e)), cyclo_field(e).from_rational(0))
         assert total.is_rational()
         assert total.to_rational() == inertia_total(e, d), (e, d)
 
 
 def test_coeff_strings_serialization():
     f = cyclo_field(4)
-    x = f.zeta() * Fraction(1, 4) - Fraction(1, 8)
+    x = f.zeta_pow(1) * Fraction(1, 4) - Fraction(1, 8)
     assert x.coeff_strings() == ["-1/8", "1/4"]
 
 
@@ -263,7 +257,7 @@ def test_inv_omega_minus_one_inverts():
         f = cyclo_field(e)
         for i in range(1, 2 * e):
             if i % e:
-                assert f.inv_omega_minus_one(i) * (f.zeta_pow(i) - 1) == f.one(), (e, i)
+                assert f.inv_omega_minus_one(i) * (f.zeta_pow(i) - 1) == f.from_rational(1), (e, i)
         for i in (0, e, -e, 2 * e):
             with pytest.raises(InvalidArgumentError,
                                match=r"^zeta\^i - 1 vanishes for i = 0 mod e$"):
@@ -272,7 +266,8 @@ def test_inv_omega_minus_one_inverts():
 
 def test_from_cover_rejects_inexact_coefficients():
     f = cyclo_field(5)
-    assert f.from_cover([1, Fraction(1, 2), 0, 0, 0, 3]) == 1 + f.zeta() / 2 + 3 * f.zeta_pow(5)
+    want = 1 + Fraction(1, 2) * f.zeta_pow(1) + 3 * f.zeta_pow(5)
+    assert f.from_cover([1, Fraction(1, 2), 0, 0, 0, 3]) == want
     for bad in (0.1, "1/3", True):
         with pytest.raises(InvalidArgumentError, match="coefficient 1 must be an int or Fraction"):
             f.from_cover([1, bad, 2])
@@ -295,9 +290,10 @@ def test_elements_stay_normalised():
                             Fraction(2, 3))
     scaled = a * Fraction(-6, 5)
     assert scaled.coeffs == (Fraction(-1, 5), Fraction(3, 10), 0, Fraction(-4, 5))
-    assert (a / Fraction(1, 12)).coeffs == (2, -3, 0, 8)
-    assert (a - a) == f.zero() and (a - a).den == 1
-    for x in (a, b, total, scaled, a * b, -a, b.inverse(), a / 3, 2 - a, f.zeta_pow(5)):
+    assert (a * f.from_rational(Fraction(1, 12)).inverse()).coeffs == (2, -3, 0, 8)
+    assert (a - a) == f.from_rational(0) and (a - a).den == 1
+    for x in (a, b, total, scaled, a * b, -a, b.inverse(), a * f.from_rational(3).inverse(),
+              2 + -a, f.zeta_pow(5)):
         _assert_normalised(x)
 
 
@@ -309,7 +305,7 @@ def test_field_sums_match_closed_forms():
         inv = {i: f.inv_omega_minus_one(i) for i in range(1, e)}
 
         def total(term):
-            return sum((term(i) for i in range(1, e)), f.zero())
+            return sum((term(i) for i in range(1, e)), f.from_rational(0))
 
         for k in range(e):
             assert total(lambda i: zeta[i * k % e]) == f.from_rational(geometric_sum(e, k))
