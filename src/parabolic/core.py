@@ -46,6 +46,18 @@ class FrozenValue:
         return type(self), self._values()
 
 
+def _derived(cls: type, **fields: object) -> FrozenValue:
+    """A cls value with these slots set, built without running cls.__init__.
+
+    Only for values the library computes itself, whose constructor checks
+    hold by construction; every input keeps its checks.
+    """
+    value = object.__new__(cls)
+    for name, field in fields.items():
+        object.__setattr__(value, name, field)
+    return value
+
+
 class Weights(FrozenValue):
     """Nonincreasing integers (n_0, ..., n_e) with n_e = 0, length e + 1; a bool,
     float or str entry is refused, never coerced."""
@@ -129,7 +141,8 @@ def hom_datum(w: Weights) -> Weights:
             cls[i - j] += p
             cls[e - (i - j)] += p
     m = list(accumulate(reversed(cls), initial=0))  # m_e = 0, m_{e-1}, ..., m_0
-    return Weights(tuple(reversed(m)))
+    # suffix sums of nonnegative ints: nonincreasing, length e + 1, ending in 0
+    return _derived(Weights, entries=tuple(reversed(m)))
 
 
 def root_line_datum(i: int, e: int) -> Weights:
@@ -143,7 +156,7 @@ def root_line_datum(i: int, e: int) -> Weights:
     if i < 0:
         raise InvalidArgumentError(f"root_line_datum requires i >= 0, got {i}")
     l = i % e
-    return Weights(tuple([1] * (l + 1) + [0] * (e - l)))
+    return _derived(Weights, entries=tuple([1] * (l + 1) + [0] * (e - l)))
 
 
 class ParabolicPoint(FrozenValue):

@@ -20,6 +20,7 @@ from .core import (
     OrbifoldCurve,
     ParabolicBundle,
     ParabolicPoint,
+    _derived,
     flag_total,
     hom_datum,
     jumps,
@@ -27,12 +28,20 @@ from .core import (
 from .errors import InternalInconsistencyError, InvalidArgumentError
 
 
-class ChiReport(FrozenValue):
+class _ChiMemo(FrozenValue):
+    """The slot where euler_char leaves the bundle's points for the first read
+    of ChiReport.corrections.  Like core._BundleMemo, it is not a field."""
+
+    __slots__ = ("_points",)
+
+
+class ChiReport(_ChiMemo):
     """Euler characteristic of a bundle with its constituent terms.
 
     Invariant: chi == stacky_degree + (1 - g) * rank - sum of
     degree(p_i) * correction_i == classical_part - sum of weighted
-    corrections.
+    corrections.  A report from euler_char builds its corrections on their
+    first read and keeps them.
     """
 
     __slots__ = ("chi", "stacky_degree", "classical_part", "corrections")
@@ -43,6 +52,16 @@ class ChiReport(FrozenValue):
         object.__setattr__(self, "stacky_degree", stacky_degree)
         object.__setattr__(self, "classical_part", classical_part)
         object.__setattr__(self, "corrections", corrections)
+
+    def __getattr__(self, name: str) -> tuple[tuple[int, Fraction], ...]:
+        # called only when the normal lookup fails: an unset slot or a missing name
+        if name != "corrections":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}",
+                                 name=name, obj=self)
+        corrections = tuple([(i, Fraction(_correction_numerator(p), p.ramification))
+                             for i, p in enumerate(self._points)])
+        object.__setattr__(self, "corrections", corrections)
+        return corrections
 
     def to_json_obj(self) -> dict:
         return {
@@ -68,16 +87,15 @@ def euler_char(bundle: ParabolicBundle) -> ChiReport:
     """Full Euler characteristic report for a parabolic bundle."""
     points = bundle.curve.points
     den = math.lcm(*(p.ramification for p in points))
-    corrections, weighted = [], 0  # weighted and the sums below are numerators over den
-    for i, p in enumerate(points):
+    weighted = 0  # weighted and the sums below are numerators over den
+    for p in points:
         c = _correction_numerator(p)
-        corrections.append((i, Fraction(c, p.ramification)))
         weighted += p.degree * c * (den // p.ramification)
     stacky = bundle.degree * den + weighted
     classical = stacky + (1 - bundle.curve.genus) * bundle.rank * den
     chi = classical - weighted
-    return ChiReport(Fraction(chi, den), Fraction(stacky, den), Fraction(classical, den),
-                     tuple(corrections))
+    return _derived(ChiReport, chi=Fraction(chi, den), stacky_degree=Fraction(stacky, den),
+                    classical_part=Fraction(classical, den), _points=points)
 
 
 def global_term(
@@ -163,8 +181,10 @@ def end_bundle(bundle: ParabolicBundle) -> ParabolicBundle:
     The underlying degree is the integer forced by the vanishing of its
     stacky degree.
     """
+    # degree and ramification come from a validated point, and hom_datum keeps length e + 1
     points = tuple(
-        ParabolicPoint(p.degree, p.ramification, hom_datum(p.weights))
+        _derived(ParabolicPoint, degree=p.degree, ramification=p.ramification,
+                 weights=hom_datum(p.weights))
         for p in bundle.curve.points
     )
     den = math.lcm(*(p.ramification for p in points))

@@ -168,6 +168,19 @@ def test_hom_datum_matches_all_pairs():
         assert hom_datum(w).entries == _all_pairs_hom_datum(w)
 
 
+def test_derived_weights_pass_the_checks_they_skip():
+    # hom_datum and root_line_datum build their Weights without running __init__
+    for seed in range(200):
+        e, r = 1 + seed % 64, 1 + seed % 24
+        w = _draw_weights(Lcg64(seed), e, r)
+        h = hom_datum(w)
+        assert type(h) is Weights and Weights(h.entries) == h
+    for e in range(1, 13):
+        for i in range(3 * e):
+            w = root_line_datum(i, e)
+            assert type(w) is Weights and Weights(w.entries) == w
+
+
 @given(weight_vectors())
 def test_hom_datum_invariants(w):
     m = hom_datum(w).entries

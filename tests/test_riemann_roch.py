@@ -1,4 +1,8 @@
+import copy
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -10,6 +14,7 @@ from parabolic.core import (
     OrbifoldCurve,
     ParabolicBundle,
     ParabolicPoint,
+    Weights,
     bundle_on,
     jumps,
     root_line_datum,
@@ -18,6 +23,7 @@ from parabolic.core import (
 from parabolic.errors import InternalInconsistencyError
 from parabolic.oracle import Lcg64, _draw_weights
 from parabolic.riemann_roch import (
+    ChiReport,
     end_bundle,
     end_euler_char,
     euler_char,
@@ -267,6 +273,83 @@ def test_integer_assembly_matches_fraction_reference():
         assert type(endo.degree) is int
         assert endo.degree == -sum((p.degree * _reference_correction(p)
                                     for p in endo.curve.points), Fraction(0))
+
+
+def test_end_bundle_equals_its_validated_rebuild():
+    # end_bundle builds its points without running ParabolicPoint.__init__
+    for b in _seeded_bundles():
+        endo = end_bundle(b)
+        points = tuple(ParabolicPoint(p.degree, p.ramification, Weights(p.weights.entries))
+                       for p in endo.curve.points)
+        rebuilt = ParabolicBundle(OrbifoldCurve(endo.curve.genus, points), endo.rank, endo.degree)
+        assert all(type(p) is ParabolicPoint for p in endo.curve.points)
+        assert endo == rebuilt
+
+
+_REPORT_VIEWS = {
+    "eq": lambda rep: rep,
+    "hash": hash,
+    "repr": repr,
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda rep: pickle.loads(pickle.dumps(rep)),
+    "json": lambda rep: rep.to_json_obj(),
+}
+
+
+def test_lazy_corrections_match_a_constructed_report():
+    # euler_char leaves corrections to their first read
+    for b in _seeded_bundles():
+        chi, stacky, classical, corrections = _reference_euler_char(b)
+        built = ChiReport(chi, stacky, classical, corrections)
+        for name, view in _REPORT_VIEWS.items():
+            for read_first in (False, True):
+                rep = euler_char(b)
+                if read_first:
+                    assert rep.corrections == corrections
+                got = view(rep)
+                assert got == view(built) and view(built) == got, (name, read_first)
+                assert type(got) is type(view(built)), (name, read_first)
+
+
+def test_lazy_corrections_are_read_once_and_read_only():
+    rep = euler_char(bundle_on(2, 2, 1, [(1, 3, [2, 1, 1, 0]), (2, 2, [2, 1, 0])]))
+    for attempt in (lambda: setattr(rep, "corrections", ()),
+                    lambda: delattr(rep, "corrections"),
+                    lambda: setattr(rep, "chi", Fraction(0))):
+        with pytest.raises(AttributeError):
+            attempt()
+    first = rep.corrections
+    assert first == ((0, Fraction(2, 3)), (1, Fraction(1, 2)))
+    assert rep.corrections is first
+    with pytest.raises(AttributeError):
+        rep.corrections = ()
+    assert rep.corrections is first and rep.chi == -1
+    for name in ("missing", "_flag_total", "__copy__"):
+        with pytest.raises(AttributeError) as info:
+            getattr(rep, name)
+        assert str(info.value) == f"'ChiReport' object has no attribute {name!r}"
+    assert not hasattr(rep, "missing")
+
+
+def test_threads_racing_on_a_first_read_see_equal_corrections():
+    b = bundle_on(2, 6, 1, [(1, 9, [6, 5, 5, 3, 2, 2, 1, 1, 1, 0]), (2, 4, [6, 4, 1, 1, 0])])
+    want = _reference_euler_char(b)[3]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            rep, seen = euler_char(b), []
+            threads = [threading.Thread(target=lambda: seen.append(rep.corrections))
+                       for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert seen == [want] * 8 and rep.corrections == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_global_term_takes_any_rational_degree_and_iterable():
