@@ -57,7 +57,7 @@ class EdReport(FrozenValue):
 
     def to_json_obj(self) -> dict:
         """Every field in order; prime only when it is set."""
-        obj = {name: getattr(self, name) for name in self.__slots__}
+        obj = {name: getattr(self, name) for name in self._fields}
         if self.prime is None:
             del obj["prime"]
         return obj

@@ -18,12 +18,17 @@ from .errors import InvalidArgumentError, InvalidWeightsError
 class FrozenValue:
     """Base of the immutable value types.  Each subclass lists its fields in
     ``__slots__`` and sets them in ``__init__`` through object.__setattr__;
-    equality, hash, repr and pickling go by the tuple of fields."""
+    equality, hash, repr and pickling go by the tuple of fields.  A slot whose
+    name starts with ``_`` is not a field: it holds a value computed on first
+    use, which an equal value, a copy or an unpickled value computes again."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple([name for name in cls.__slots__ if name[0] != "_"])
+
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -34,7 +39,7 @@ class FrozenValue:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def _read_only(self, name: str, *value: object) -> None:
@@ -189,19 +194,10 @@ class OrbifoldCurve(FrozenValue):
         object.__setattr__(self, "points", points)
 
 
-class _BundleMemo(FrozenValue):
-    """Slots for the values that flag_total and bounds.gerbe_index compute on
-    first use.  FrozenValue reads the concrete class's own ``__slots__``, so
-    these are not fields: equality, hash, repr, copy and pickling ignore
-    them, and a copy or an unpickled bundle computes them again."""
-
-    __slots__ = ("_flag_total", "_gerbe_index")
-
-
-class ParabolicBundle(_BundleMemo):
+class ParabolicBundle(FrozenValue):
     """A parabolic bundle: curve, rank, and degree of the underlying bundle."""
 
-    __slots__ = ("curve", "rank", "degree")
+    __slots__ = ("curve", "rank", "degree", "_flag_total", "_gerbe_index")
 
     def __init__(self, curve: OrbifoldCurve, rank: int, degree: int):
         if rank < 1:

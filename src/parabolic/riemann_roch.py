@@ -28,23 +28,16 @@ from .core import (
 from .errors import InternalInconsistencyError, InvalidArgumentError
 
 
-class _ChiMemo(FrozenValue):
-    """The slot where euler_char leaves the bundle's points for the first read
-    of ChiReport.corrections.  Like core._BundleMemo, it is not a field."""
-
-    __slots__ = ("_points",)
-
-
-class ChiReport(_ChiMemo):
+class ChiReport(FrozenValue):
     """Euler characteristic of a bundle with its constituent terms.
 
     Invariant: chi == stacky_degree + (1 - g) * rank - sum of
     degree(p_i) * correction_i == classical_part - sum of weighted
-    corrections.  A report from euler_char builds its corrections on their
-    first read and keeps them.
+    corrections.  A report from euler_char keeps the bundle's points in
+    ``_points`` and builds its corrections from them on their first read.
     """
 
-    __slots__ = ("chi", "stacky_degree", "classical_part", "corrections")
+    __slots__ = ("chi", "stacky_degree", "classical_part", "corrections", "_points")
 
     def __init__(self, chi: Fraction, stacky_degree: Fraction, classical_part: Fraction,
                  corrections: tuple[tuple[int, Fraction], ...]):

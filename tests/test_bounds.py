@@ -1,3 +1,4 @@
+import copy
 import math
 import pickle
 from types import SimpleNamespace
@@ -180,6 +181,10 @@ def test_ed_report_serialization():
     repp = ed_p_value(bundle_on(2, 12, 24, [(1, 2, [12, 12, 0])]), 3)
     assert repp.to_json_obj()["prime"] == 3
     assert repp.to_json_obj()["conjectural"] is False
+    # the keys are the report's fields in order, prime last and only when set
+    fields = ["h", "base", "flag_total", "gerbe_term", "total", "conjectural", "prime"]
+    assert list(rep.to_json_obj()) == fields[:-1]
+    assert list(repp.to_json_obj()) == fields
 
 
 def test_a_bundle_computes_its_flag_total_and_gerbe_index_once(monkeypatch):
@@ -205,6 +210,7 @@ def test_a_bundle_computes_its_flag_total_and_gerbe_index_once(monkeypatch):
         fresh = bundle_on(*data)
         assert b == fresh and hash(b) == hash(fresh) and repr(b) == repr(fresh)
         assert pickle.dumps(b) == pickle.dumps(fresh) and pickle.loads(pickle.dumps(b)) == fresh
+        assert copy.copy(b) == fresh and copy.deepcopy(b) == fresh
 
 @given(
     st.integers(min_value=2, max_value=5),
