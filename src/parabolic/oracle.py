@@ -308,9 +308,11 @@ def _check_chi(report: VerificationReport, b: ParabolicBundle,
                rep: ChiReport | None = None, inertia: list | None = None) -> None:
     """Check both Euler characteristic assemblies on one bundle.
 
-    Global term plus inertia contributions must equal chi, and chi must
-    equal underlying degree + (1 - g) * rank.  rep and inertia, when given,
-    are euler_char(b) and the (f, inertia_bundle_total(p)) of its points.
+    Global term plus inertia contributions must equal chi, and the sum of
+    f * c over rep.corrections must equal that of f * (r(e - 1)/(2e) - t),
+    t = inertia_bundle_total(p), which reaches c through the jump vector and
+    inertia_total.  rep and inertia, when given, are euler_char(b) and the
+    (f, inertia_bundle_total(p)) of its points.
     """
     rep = euler_char(b) if rep is None else rep
     if inertia is None:
@@ -321,8 +323,12 @@ def _check_chi(report: VerificationReport, b: ParabolicBundle,
     assembled = sum([f * t.numerator * (den // t.denominator) for f, t in terms])
     args = (b.curve.genus, b.rank, b.degree, pts)
     report.check("g={} r={} d={} pts={} global+inertia", rep.chi, assembled, den, args=args)
-    report.check("g={} r={} d={} pts={} pushforward", b.degree + (1 - b.curve.genus) * b.rank,
-                 rep.chi, args=args)
+    den = 2 * math.lcm(*[e for _, e in pts])  # a multiple of every denominator below
+    got = sum([f * c.numerator * (den // c.denominator)
+               for (f, _), (_, c) in zip(pts, rep.corrections)])
+    want = sum([f * (b.rank * (e - 1) * (den // (2 * e)) - t.numerator * (den // t.denominator))
+                for (f, e), (_, t) in zip(pts, inertia)])
+    report.check("g={} r={} d={} pts={} corrections", want, got, den, den, args=args)
 
 
 def chi_suite(count: int, seed: int) -> VerificationReport:

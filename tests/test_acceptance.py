@@ -4,12 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 All checks are exact; there are no tolerances anywhere.
 """
 
-import io
 import json
 import time
 
 from parabolic.bounds import ed_p_value, ed_upper_bound
-from parabolic.cli import run
 from parabolic.core import bundle_on, root_line_datum
 from parabolic.oracle import (
     chi_suite,
@@ -19,6 +17,8 @@ from parabolic.oracle import (
     root_of_unity_suites,
 )
 from parabolic.riemann_roch import euler_char
+
+import corpus
 
 SEED = 20260808
 
@@ -112,36 +112,18 @@ def test_criterion_7_ed_consistency_sweep():
 
 
 def test_criterion_8_cli_contract(tmp_path):
-    chi_doc = {
-        "curve": {
-            "genus": 2,
-            "points": [{"degree": 1, "ramification": 3, "weights": [2, 1, 1, 0]}],
-        },
-        "bundle": {"rank": 2, "degree": 1},
-    }
-    ed_doc = {
-        "curve": {
-            "genus": 2,
-            "points": [{"degree": 1, "ramification": 2, "weights": [12, 12, 0]}],
-        },
-        "bundle": {"rank": 12, "degree": 24},
-    }
-    chi_path = tmp_path / "bundle.json"
-    chi_path.write_text(json.dumps(chi_doc))
-    ed_path = tmp_path / "big.json"
-    ed_path.write_text(json.dumps(ed_doc))
+    chi_path = corpus.write(tmp_path, "readme")
+    ed_path = corpus.write(tmp_path, "h12")
 
     def invoke(argv):
-        out, err = io.StringIO(), io.StringIO()
-        code = run(argv, stdout=out, stderr=err)
-        return code, out.getvalue()
+        return corpus.invoke(argv)[:2]
 
     ok = True
 
     # documented invocations, twice each: identical bytes, documented fields
     for argv, checks in (
-        (["chi", "-i", str(chi_path)], {"chi": "-1", "stacky_degree": "5/3"}),
-        (["ed-bound", "-i", str(ed_path)], {"total": 150, "h": 12}),
+        (["chi", "-i", chi_path], {"chi": "-1", "stacky_degree": "5/3"}),
+        (["ed-bound", "-i", ed_path], {"total": 150, "h": 12}),
         (["verify", "--e-max", "12", "--random", "50"], {"pass": True}),
     ):
         code1, out1 = invoke(argv)
@@ -168,11 +150,7 @@ def test_criterion_8_cli_contract(tmp_path):
     ok = ok and code == 2
     assert code == 2
 
-    low = dict(chi_doc)
-    low["curve"] = dict(chi_doc["curve"], genus=1)
-    low_path = tmp_path / "low.json"
-    low_path.write_text(json.dumps(low))
-    code, _ = invoke(["ed-bound", "-i", str(low_path)])
+    code, _ = invoke(["ed-bound", "-i", corpus.write(tmp_path, "genus-1")])
     ok = ok and code == 1
     assert code == 1
 

@@ -11,7 +11,7 @@ import pytest
 
 import parabolic
 from parabolic import cli, oracle
-from parabolic.cli import parse_document, run
+from parabolic.cli import parse_document
 from parabolic.errors import (
     HypothesisViolationError,
     InternalInconsistencyError,
@@ -19,152 +19,27 @@ from parabolic.errors import (
 )
 from parabolic.oracle import VerificationReport
 
-CHI_DOC = {
-    "curve": {
-        "genus": 2,
-        "points": [{"degree": 1, "ramification": 3, "weights": [2, 1, 1, 0]}],
-    },
-    "bundle": {"rank": 2, "degree": 1},
-}
-
-ED_DOC = {
-    "curve": {
-        "genus": 2,
-        "points": [{"degree": 1, "ramification": 2, "weights": [12, 12, 0]}],
-    },
-    "bundle": {"rank": 12, "degree": 24},
-}
+import corpus
+from corpus import invoke
 
 
-@pytest.fixture()
-def chi_path(tmp_path):
-    path = tmp_path / "bundle.json"
-    path.write_text(json.dumps(CHI_DOC))
-    return str(path)
-
-
-@pytest.fixture()
-def ed_path(tmp_path):
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps(ED_DOC))
-    return str(path)
-
-
-def invoke(argv):
-    out, err = io.StringIO(), io.StringIO()
-    code = run(argv, stdout=out, stderr=err)
-    return code, out.getvalue(), err.getvalue()
-
-
-def test_chi_documented_example(chi_path):
-    code, out, err = invoke(["chi", "-i", chi_path])
-    assert code == 0 and err == ""
-    payload = json.loads(out)
-    assert payload["chi"] == "-1"
-    assert payload["stacky_degree"] == "5/3"
-    assert payload["classical_part"] == "-1/3"
-    assert payload["corrections"] == [["0", "2/3"]]
-
-
-def test_ed_bound_documented_example(ed_path):
-    code, out, _ = invoke(["ed-bound", "-i", ed_path])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["total"] == 150
-    assert payload["h"] == 12
-    assert payload["conjectural"] is True
-
-
-def test_ed_p_triple(ed_path):
-    for prime, total in ((2, 148), (3, 147), (5, 145)):
-        code, out, _ = invoke(["ed-p", "-i", ed_path, "--prime", str(prime)])
+def test_end_chi_and_hom_datum_agree(tmp_path):
+    # round-trip on every corpus document: the emitted document re-parses under the
+    # input schema, and chi of the endomorphism document equals end-chi of the original
+    for name in corpus.DOCUMENTS:
+        path = corpus.write(tmp_path, name)
+        code, out, _ = invoke(["hom-datum", "-i", path])
         assert code == 0
-        payload = json.loads(out)
-        assert payload["total"] == total
-        assert payload["prime"] == prime
-        assert payload["conjectural"] is False
-
-
-def test_outputs_are_byte_stable(chi_path, ed_path):
-    for argv in (
-        ["chi", "-i", chi_path],
-        ["ed-bound", "-i", ed_path],
-        ["verify", "--e-max", "6", "--random", "10", "--seed", "5"],
-    ):
-        first = invoke(argv)
-        second = invoke(argv)
-        assert first == second
-        assert first[0] == 0
-
-
-def test_end_chi_and_hom_datum_agree(chi_path, tmp_path):
-    code, out, _ = invoke(["end-chi", "-i", chi_path])
-    assert code == 0
-    assert json.loads(out) == {"end_chi": "-5"}
-
-    code, out, _ = invoke(["hom-datum", "-i", chi_path])
-    assert code == 0
-    end_doc = json.loads(out)
-    assert end_doc["bundle"] == {"rank": 4, "degree": -1}
-    assert end_doc["curve"]["points"][0]["weights"] == [4, 2, 1, 0]
-    # round-trip: the emitted document re-parses under the input schema,
-    # and chi of the endomorphism document equals end-chi of the original
-    bundle, pieces = parse_document(end_doc)
-    assert pieces is None
-    path = tmp_path / "end.json"
-    path.write_text(json.dumps(end_doc))
-    code, out, _ = invoke(["chi", "-i", str(path)])
-    assert code == 0
-    assert json.loads(out)["chi"] == "-5"
-
-
-def test_stacky_degree_and_index(chi_path, ed_path):
-    code, out, _ = invoke(["stacky-degree", "-i", chi_path])
-    assert code == 0 and json.loads(out) == {"stacky_degree": "5/3"}
-    code, out, _ = invoke(["index", "-i", ed_path])
-    assert code == 0 and json.loads(out) == {"h": 12}
-
-
-def test_flag_dim(chi_path):
-    code, out, _ = invoke(["flag-dim", "-i", chi_path])
-    assert code == 0
-    assert json.loads(out) == {"per_point": [1], "flag_total": 1}
-
-
-def test_nil_dim_defaults_to_single_piece(chi_path):
-    code, out, _ = invoke(["nil-dim", "-i", chi_path])
-    assert code == 0
-    assert json.loads(out) == {"nil_dimension": 5}
-
-
-def test_nil_dim_with_pieces(tmp_path):
-    doc = dict(CHI_DOC)
-    doc["pieces"] = [
-        {"rank": 1, "weights_per_point": [[1, 1, 0, 0]]},
-        {"rank": 1, "weights_per_point": [[1, 0, 0, 0]]},
-    ]
-    path = tmp_path / "pieces.json"
-    path.write_text(json.dumps(doc))
-    code, out, _ = invoke(["nil-dim", "-i", str(path)])
-    assert code == 0
-    # (g-1)(1+1) + flag dims of rank-one data (all zero)
-    assert json.loads(out) == {"nil_dimension": 2}
-
-
-def test_trdeg_bound_modes(chi_path):
-    code, out, _ = invoke(["trdeg-bound", "-i", chi_path])
-    assert code == 0
-    assert json.loads(out) == {"trdeg_bound": 6, "mode": "indecomposable"}
-    code, out, _ = invoke(["trdeg-bound", "-i", chi_path, "--nonsimple"])
-    assert code == 0
-    assert json.loads(out) == {"trdeg_bound": 5, "mode": "nonsimple"}
+        end_doc = json.loads(out)
+        assert parse_document(end_doc)[1] is None
+        end_path = tmp_path / "end.json"
+        end_path.write_text(out)
+        code, out, _ = invoke(["chi", "-i", str(end_path)])
+        assert code == 0
+        assert json.loads(out)["chi"] == json.loads(invoke(["end-chi", "-i", path])[1])["end_chi"]
 
 
 def test_gerbe_ed_commands():
-    code, out, _ = invoke(["gerbe-ed", "12"])
-    assert code == 0 and json.loads(out) == {"n": 12, "ed_upper": 5}
-    code, out, _ = invoke(["gerbe-ed-p", "12", "--prime", "2"])
-    assert code == 0 and json.loads(out) == {"n": 12, "prime": 2, "ed_p": 3}
     code, _, err = invoke(["gerbe-ed-p", "12", "--prime", "6"])
     assert code == 2 and "prime" in err
 
@@ -187,19 +62,15 @@ def test_verify_failure_exits_3(monkeypatch):
     assert json.loads(out)["pass"] is False
 
 
-def test_text_format_flag_and_env(chi_path, monkeypatch):
-    code, out, _ = invoke(["chi", "-i", chi_path, "--format", "text"])
-    assert code == 0
-    assert "chi: -1" in out
+def test_text_format_flag_and_env(tmp_path, monkeypatch):
     # --format is the one setting: the environment does not override it
-    code, json_out, _ = invoke(["chi", "-i", chi_path])
+    path = corpus.write(tmp_path, "readme")
+    json_out = invoke(["chi", "-i", path])
     monkeypatch.setenv("PARAB_FORMAT", "text")
-    code2, out2, _ = invoke(["chi", "-i", chi_path])
-    assert code == code2 == 0 and out2 == json_out
-    assert json.loads(out2)["chi"] == "-1"
+    assert invoke(["chi", "-i", path]) == json_out
 
 
-def test_input_error_paths(tmp_path, chi_path):
+def test_input_error_paths(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{bad json")
     code, _, err = invoke(["chi", "-i", str(bad)])
@@ -218,7 +89,7 @@ def test_input_error_paths(tmp_path, chi_path):
     assert code == 2 and "bundle" in err
 
     weights = tmp_path / "weights.json"
-    doc = json.loads(json.dumps(CHI_DOC))
+    doc = json.loads(json.dumps(corpus.readme))
     doc["curve"]["points"][0]["weights"] = [2, 3, 0]
     weights.write_text(json.dumps(doc))
     code, _, err = invoke(["chi", "-i", str(weights)])
@@ -226,25 +97,22 @@ def test_input_error_paths(tmp_path, chi_path):
 
 
 def test_hypothesis_violation_exits_1(tmp_path):
-    doc = json.loads(json.dumps(CHI_DOC))
-    doc["curve"]["genus"] = 1
-    path = tmp_path / "g1.json"
-    path.write_text(json.dumps(doc))
-    code, _, err = invoke(["ed-bound", "-i", str(path)])
+    path = corpus.write(tmp_path, "genus-1")
+    code, _, err = invoke(["ed-bound", "-i", path])
     assert code == 1 and "genus" in err
-    code, _, _ = invoke(["trdeg-bound", "-i", str(path), "--nonsimple"])
+    code, _, _ = invoke(["trdeg-bound", "-i", path, "--nonsimple"])
     assert code == 1
     # chi itself stays unguarded at low genus
-    code, _, _ = invoke(["chi", "-i", str(path)])
+    code, _, _ = invoke(["chi", "-i", path])
     assert code == 0
 
 
-def test_internal_error_exits_4_without_traceback(chi_path, monkeypatch):
+def test_internal_error_exits_4_without_traceback(tmp_path, monkeypatch):
     def broken(bundle):
         raise InternalInconsistencyError("endomorphism bundle degree 1/3 is not an integer")
 
     monkeypatch.setattr(cli, "end_bundle", broken)
-    code, out, err = invoke(["hom-datum", "-i", chi_path])
+    code, out, err = invoke(["hom-datum", "-i", corpus.write(tmp_path, "readme")])
     assert code == cli.EXIT_INTERNAL == 4
     assert out == ""
     assert err == ("error: internal: InternalInconsistencyError: "
@@ -269,10 +137,10 @@ def test_library_error_inside_verify_exits_4(monkeypatch, error):
     assert err == f"error: internal: {type(error).__name__}: {error}\n"
 
 
-def test_stdin_input(chi_path, monkeypatch):
+def test_stdin_input(monkeypatch):
     import sys
 
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(CHI_DOC)))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(corpus.readme)))
     code, out, _ = invoke(["chi", "-i", "-"])
     assert code == 0
     assert json.loads(out)["chi"] == "-1"
@@ -297,7 +165,7 @@ def test_gerbe_ed_beyond_exact_bound_exits_2():
 
 @pytest.mark.parametrize("field, value", [("pieces", 5), ("points", {}), ("points", None)])
 def test_non_list_points_and_pieces_exit_2(tmp_path, field, value):
-    doc = json.loads(json.dumps(CHI_DOC))
+    doc = json.loads(json.dumps(corpus.readme))
     if field == "pieces":
         doc["pieces"] = value
     else:
@@ -312,7 +180,7 @@ def test_non_list_points_and_pieces_exit_2(tmp_path, field, value):
 
 
 def test_non_integer_piece_weight_exits_2(tmp_path):
-    doc = json.loads(json.dumps(CHI_DOC))
+    doc = json.loads(json.dumps(corpus.readme))
     doc["pieces"] = [{"rank": 2, "weights_per_point": [["a", 1, 1, 0]]}]
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -330,7 +198,7 @@ def test_non_integer_piece_weight_exits_2(tmp_path):
                   "ramification"),
 ])
 def test_piece_weights_not_matching_the_points_exit_2(tmp_path, weights_per_point, message):
-    doc = dict(CHI_DOC, pieces=[{"rank": 2, "weights_per_point": weights_per_point}])
+    doc = dict(corpus.readme, pieces=[{"rank": 2, "weights_per_point": weights_per_point}])
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     code, out, err = invoke(["nil-dim", "-i", str(path)])
@@ -358,7 +226,8 @@ def test_long_integer_literal_exits_2(tmp_path, command, digits):
     # 5000 digits is past Python's int parsing limit; a 4001-digit rank parses there
     # but its square could not be printed
     path = tmp_path / "long.json"
-    path.write_text(json.dumps(CHI_DOC).replace('"rank": 2', f'"rank": 1{"0" * (digits - 1)}'))
+    long_rank = f'"rank": 1{"0" * (digits - 1)}'
+    path.write_text(json.dumps(corpus.readme).replace('"rank": 2', long_rank))
     code, out, err = invoke([command, "-i", str(path)])
     assert (code, out, err) == (2, "", "error: integer literal longer than 1000 digits\n")
 
@@ -388,7 +257,7 @@ def test_deeply_nested_json_exits_2(tmp_path):
 @pytest.mark.parametrize("command", ["nil-dim", "trdeg-bound"])
 def test_empty_pieces_exit_2(tmp_path, command):
     path = tmp_path / "empty.json"
-    path.write_text(json.dumps(dict(CHI_DOC, pieces=[])))
+    path.write_text(json.dumps(dict(corpus.readme, pieces=[])))
     code, out, err = invoke([command, "-i", str(path)])
     assert code == 2 and out == ""
     assert err == "error: pieces must list at least one graded piece\n"
@@ -408,23 +277,18 @@ def test_verify_ceilings_exit_2_at_once(argv, message):
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-# stdout of every command on the README's example document, recorded before
-# the command table replaced the per-command dispatch
-README_OUTPUTS = json.loads(
-    (Path(__file__).resolve().parent / "data" / "cli_readme_example.json").read_text()
-)
 
 
-@pytest.mark.parametrize("command", sorted(README_OUTPUTS))
-def test_every_command_on_the_readme_example(tmp_path, command):
-    text = README.read_text()
-    start = text.index("```json\n") + len("```json\n")
-    path = tmp_path / "bundle.json"
-    path.write_text(text[start:text.index("```", start)])
-    case = README_OUTPUTS[command]
-    argv = [str(path) if arg == "{doc}" else arg for arg in case["argv"]]
-    for fmt in ("json", "text"):
-        assert invoke([*argv, "--format", fmt]) == (case["code"], case[fmt], "")
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_every_command_on_the_corpus(tmp_path, monkeypatch, command):
+    # argparse wraps usage lines at $COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    assert corpus.usage(command) == corpus.golden()["usage"][command]
+    runs = [(name, argv, entry) for name, argv, entry in corpus.runs() if argv[0] == command]
+    assert runs
+    for name, argv, entry in runs:
+        path = corpus.write(tmp_path, name) if name else None
+        assert corpus.observe(argv, path) == entry, name
 
 
 def test_readme_library_example_runs():
@@ -484,16 +348,17 @@ def _executed_after(statement, module="parabolic.cli"):
 
 
 def test_document_commands_leave_the_lazy_modules_unexecuted():
-    argvs = [[name, *(["-i", "-"] if arguments[0] is cli._INPUT else ["12"]),
-              *(["--prime", "2"] if cli._PRIME in arguments else [])]
-             for name, (_help, arguments, _handler) in cli.COMMANDS.items() if name != "verify"]
-    assert len(argvs) == 12
-    # each command succeeds, and neither module has run after it
+    # every corpus run but verify's, its document on stdin
+    documents = {name: json.dumps(doc) for name, (_reason, doc) in corpus.DOCUMENTS.items()}
+    runs = [(name, ["-" if arg == "{doc}" else arg for arg in argv], entry["code"])
+            for name, argv, entry in corpus.runs() if argv[0] != "verify"]
+    # each run exits as its golden entry says, and neither module has run after it
     assert _executed_after(
         "import io\n"
-        f"for argv in {argvs!r}:\n"
-        f"    sys.stdin, out = io.StringIO({json.dumps(CHI_DOC)!r}), io.StringIO()\n"
-        "    assert parabolic.cli.run(argv, out, out) == 0, argv\n"
+        f"documents = {documents!r}\n"
+        f"for name, argv, code in {runs!r}:\n"
+        "    sys.stdin, out = io.StringIO(documents.get(name)), io.StringIO()\n"
+        "    assert parabolic.cli.run(argv, out, out) == code, argv\n"
         "    assert executed() == [False, False], argv") == [False, False]
 
 
@@ -619,7 +484,7 @@ def test_verify_leaves_bigprime_unloaded():
 @pytest.mark.parametrize("module", ["dataclasses", "inspect"])
 def test_chi_and_verify_leave_the_start_up_import_set(module):
     # dataclasses with inspect, ast, dis and tokenize cost about 15 ms of every process
-    doc = json.dumps(CHI_DOC)
+    doc = json.dumps(corpus.readme)
     assert not _loaded_after(
         "import io; out = io.StringIO(); "
         f"sys.stdin = io.StringIO({doc!r}); "

@@ -97,6 +97,14 @@ MUTANTS = {
     "hom_datum drops the diagonal": (
         [("core.py", "        cls[0] += x * x\n", "")],
         INTERNAL, ()),
+    "correction over e + 1": (
+        [("riemann_roch.py", "Fraction(_correction_numerator(p), p.ramification)",
+          "Fraction(_correction_numerator(p), p.ramification + 1)")],
+        RECORD, ("root-line-chi",)),
+    "ChiReport.corrections never built": (
+        # every read of rep.corrections raises AttributeError
+        [("riemann_roch.py", 'name != "corrections"', 'name == "corrections"')],
+        INTERNAL, ()),
     "correction d + 1": (
         # sum(n_0..n_{e-1}) is the sum of (d + 1) * (n_d - n_{d+1}) over d < e
         [("riemann_roch.py", "return sum(point.weights.entries[1:-1])",

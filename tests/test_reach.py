@@ -1,8 +1,8 @@
 """Every function in ``src/parabolic`` is reached by what the library is for.
 
-A fresh interpreter runs, under ``sys.settrace``, every CLI command in both
-formats on fixed documents that reach each mode, a plain ``verify --random
-20``, and the library and ``Q(zeta_e)`` field calls that the benchmark makes
+A fresh interpreter runs, under ``sys.settrace``, every run of the command
+corpus (``tests/corpus.py``) in both formats, each with its golden exit code,
+and the library and ``Q(zeta_e)`` field calls that the benchmark makes
 (``perfbench/workloads.py``: ``lib_inputs``, ``bundle_step``, ``field_step``;
 ``perfbench/layers.py``: ``verify_pass``, ``family_values``).  The trace
 records each code object it enters by file, first line and name, and ``ast``
@@ -19,6 +19,8 @@ import sys
 from pathlib import Path
 
 from parabolic import cli
+
+import corpus
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -49,28 +51,12 @@ ALLOWED = {
     "parabolic.cli.main": "the console script; it exits the process, so the run calls cli.run",
 }
 
-DOCUMENT = {
-    "curve": {"genus": 2, "points": [{"degree": 1, "ramification": 3, "weights": [2, 1, 1, 0]}]},
-    "bundle": {"rank": 2, "degree": 1},
-    "pieces": [{"rank": 2, "weights_per_point": [[2, 1, 1, 0]]}],
-}
-DOC_COMMANDS = ("chi", "end-chi", "flag-dim", "hom-datum", "stacky-degree", "index",
-                "ed-bound", "nil-dim", "trdeg-bound")
-RUNS = [
-    *([name, "-i", "{doc}"] for name in DOC_COMMANDS),
-    ["trdeg-bound", "-i", "{doc}", "--nonsimple"],
-    ["ed-p", "-i", "{doc}", "--prime", "2"],
-    # 1031 * 1033 is above 1024^2, so trial division leaves it to Pollard rho
-    ["gerbe-ed", "1065023"],
-    ["gerbe-ed-p", "1065023", "--prime", "1031"],
-    ["verify", "--random", "20"],
-]
-
-# argv: root, package directory, document, runs; prints the entered keys as JSON
+# argv: root, package directory, documents, runs; prints the entered keys as JSON
 TRACED_RUN = r"""
 import io, json, os, sys, tempfile
 
-root, package, document, runs = sys.argv[1], sys.argv[2] + os.sep, sys.argv[3], sys.argv[4]
+root, package = sys.argv[1], sys.argv[2] + os.sep
+documents, runs = json.loads(sys.argv[3]), json.loads(sys.argv[4])
 entered = set()
 
 
@@ -86,14 +72,14 @@ import parabolic
 from parabolic import cli
 
 with tempfile.TemporaryDirectory() as tmp:
-    doc = os.path.join(tmp, "doc.json")
-    with open(doc, "w") as fh:
-        fh.write(document)
-    for argv in json.loads(runs):
+    for name, document in documents.items():
+        with open(os.path.join(tmp, name), "w") as fh:
+            fh.write(document)
+    for name, argv, code in runs:
+        argv = [os.path.join(tmp, name) if a == "{doc}" else a for a in argv]
         for fmt in ("json", "text"):
             out, err = io.StringIO(), io.StringIO()
-            argv = [a.format(doc=doc) for a in argv] + ["--format", fmt]
-            assert cli.run(argv, out, err) == 0, (argv, err.getvalue())
+            assert cli.run([*argv, "--format", fmt], out, err) == code, (argv, err.getvalue())
 
 sys.path.insert(0, os.path.join(root, "perfbench"))
 import checks, gen, layers, workloads
@@ -141,16 +127,18 @@ def _functions() -> dict[tuple[str, int, str], str]:
 
 def _entered() -> set[tuple[str, int, str]]:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    documents = {name: json.dumps(doc) for name, (_reason, doc) in corpus.DOCUMENTS.items()}
+    runs = [(name, argv, entry["code"]) for name, argv, entry in corpus.runs()]
     result = subprocess.run(
-        [sys.executable, "-c", TRACED_RUN, str(ROOT), str(PACKAGE), json.dumps(DOCUMENT),
-         json.dumps(RUNS)],
+        [sys.executable, "-c", TRACED_RUN, str(ROOT), str(PACKAGE), json.dumps(documents),
+         json.dumps(runs)],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr[-2000:]
     return {tuple(key) for key in json.loads(result.stdout.splitlines()[-1])}
 
 
 def test_every_function_is_reached_or_allowed():
-    assert {argv[0] for argv in RUNS} == set(cli.COMMANDS)
+    assert {argv[0] for _name, argv, _entry in corpus.runs()} == set(cli.COMMANDS)
     functions = _functions()
     stale = sorted(set(ALLOWED) - set(functions.values()))
     assert not stale, f"allowlist entries that name no function: {stale}"
