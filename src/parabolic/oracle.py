@@ -409,7 +409,7 @@ def ed_consistency_suite(count: int, seed: int) -> VerificationReport:
                   count, seed, lambda rng: _draw_bundle(rng, min_genus=2), _check_ed_consistency)
 
 
-def run_all(e_max: int = 12, random_count: int = 100, seed: int = 1) -> list[VerificationReport]:
+def run_all(e_max: int, random_count: int, seed: int) -> list[VerificationReport]:
     """Every verification suite, in a fixed order with derived seeds."""
     return [
         *root_of_unity_suites(e_max),

@@ -5,9 +5,7 @@
 the argvs of ``OTHER_ARGVS`` read no document.  Together they reach every
 mode of every command.  The golden (``tests/data/corpus_outputs.json``) holds
 each command's usage line (its ``--help`` up to the first blank line) and, for
-each run, its exit code, stdout in both formats and stderr.  A stdout that
-CI's console-script step also compares is kept once, in CI's file, and the
-golden names that file.
+each run, its exit code, stdout in both formats and stderr.
 
 ``PYTHONPATH=src python tests/corpus.py`` prints the golden as this checkout
 computes it.
@@ -23,7 +21,6 @@ from parabolic.cli import COMMANDS, run
 
 DATA = Path(__file__).resolve().parent / "data"
 NO_DOCUMENT = "no document"
-CI_FILES = ("hom_datum_large_out.json", "chi_large_out.json", "chi_large_out.txt")
 
 
 def _readme_document() -> dict:
@@ -113,32 +110,25 @@ def _groups():
 
 
 def runs() -> list[tuple[str | None, list[str], dict]]:
-    """(document name or None, argv, golden entry) of every run, each stdout read in full."""
+    """(document name or None, argv, golden entry) of every run."""
     assert list(golden()) == ["usage", *(name for name, _argvs in _groups())]
     assert list(golden()["usage"]) == list(COMMANDS)
     found = []
     for group, argvs in _groups():
         assert [entry["argv"] for entry in golden()[group]] == argvs, group
-        for entry in golden()[group]:
-            entry = {key: (DATA / value["file"]).read_text() if isinstance(value, dict) else value
-                     for key, value in entry.items()}
-            found.append((None if group == NO_DOCUMENT else group, entry["argv"], entry))
+        found.extend((None if group == NO_DOCUMENT else group, entry["argv"], entry)
+                     for entry in golden()[group])
     return found
 
 
 def record(directory: Path) -> str:
     """The golden as this checkout prints it, one run a line."""
-    stored = {(DATA / name).read_text(): {"file": name} for name in CI_FILES}
     usages = ",\n".join(f"  {json.dumps(command)}: {json.dumps(usage(command))}"
                          for command in COMMANDS)
     blocks = [f' "usage": {{\n{usages}\n }}']
     for group, argvs in _groups():
         path = None if group == NO_DOCUMENT else write(directory, group)
-        entries = [observe(argv, path) for argv in argvs]
-        for entry in entries:
-            for fmt in ("json", "text"):
-                entry[fmt] = stored.get(entry[fmt], entry[fmt])
-        rows = ",\n".join(f"  {json.dumps(entry)}" for entry in entries)
+        rows = ",\n".join(f"  {json.dumps(observe(argv, path))}" for argv in argvs)
         blocks.append(f" {json.dumps(group)}: [\n{rows}\n ]")
     return "{\n" + ",\n".join(blocks) + "\n}\n"
 

@@ -170,7 +170,7 @@ def test_run_all_reads_each_split_prime_once(monkeypatch):
     true_images = oracle._sum_images
     monkeypatch.setattr(oracle, "_sum_images",
                         lambda *args: calls.append(args) or true_images(*args))
-    reports = run_all(60, 0)
+    reports = run_all(60, 0, seed=1)
     # one image pass per e serves both reports
     assert [args[0] for args in calls] == list(range(2, 61))
     assert [(r.parameter_range, r.cases) for r in reports[:2]] == [
@@ -184,7 +184,7 @@ def test_inertia_totals_use_no_field_arithmetic(monkeypatch):
 
     monkeypatch.setattr(cyclotomic, "cyclo_field", refuse)
     monkeypatch.setattr(cyclotomic.CycloField, "_reduced", refuse)
-    reports = run_all(60, 20)
+    reports = run_all(60, 20, seed=1)
     assert all(r.passed for r in reports)
     assert [r.cases for r in reports[:2]] == [7257, 819]
 

@@ -48,7 +48,8 @@ ALLOWED = {
         "euler_char builds its report without it; unpickling and copy rebuild a report through "
         "it"),
     "parabolic.__dir__": "README: dir(parabolic) lists the lazy field names",
-    "parabolic.cli.main": "the console script; it exits the process, so the run calls cli.run",
+    "parabolic.cli.main": "the console script, run by CI's console-script step; it exits the "
+                          "process, so the run calls cli.run",
 }
 
 # argv: root, package directory, documents, runs; prints the entered keys as JSON
