@@ -8,7 +8,6 @@ h = gcd(rank, degree, interior weights).
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from .core import FrozenValue, ParabolicBundle, Weights, flag_dim, flag_total
 from .errors import HypothesisViolationError, InvalidArgumentError

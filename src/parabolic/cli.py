@@ -13,10 +13,11 @@ Input documents describe an orbifold curve and a bundle on it::
 ``pieces`` is optional and only consulted by ``nil-dim`` and
 ``trdeg-bound``; without it, both use the one piece carrying the bundle's
 own weights.  Output is JSON by default (``--format text`` for a plain
-table).  Exit codes: 0 success, 1 hypothesis violation, 2 input error,
-3 verification failure, 4 internal error (a defect: one line on stderr, no
-traceback; for ``verify``, any error raised after its arguments are
-checked).  Rationals are emitted as exact "p/q" strings, never floats.
+table).  Exit codes: 0 success, 1 hypothesis violation, 2 input error
+(unreadable input and unwritable output included), 3 verification failure,
+4 internal error (a defect: one line on stderr, no traceback; for
+``verify``, any error raised after its arguments are checked).  Rationals
+are emitted as exact "p/q" strings, never floats.
 
 Each ``COMMANDS`` entry is (help, arguments, handler).  A handler returns the
 payload to print; the exit code is 3 when its ``"pass"`` is false, else 0.
@@ -26,10 +27,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import json
+import os
 import sys
-from typing import Any, Callable, Sequence, TextIO
 
 from . import oracle
 from .bounds import (
@@ -170,6 +172,8 @@ def _bounded_int(literal: str) -> int:
 def _load_document(path: str) -> Any:
     try:
         if path == "-":
+            if sys.stdin is None:  # the process started with descriptor 0 closed
+                raise OSError(errno.EBADF, "standard input is closed")
             text = sys.stdin.read(MAX_DOCUMENT_CHARS + 1)
         else:
             with open(path, encoding="utf-8") as fh:
@@ -381,7 +385,20 @@ def run(argv: Sequence[str], stdout: TextIO | None = None,
         exc = exc.__cause__ if isinstance(exc, _RunDefect) else exc
         stderr.write(f"error: internal: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
-    _emit(payload, args.format, stdout)
+    try:
+        if stdout is None:  # the process started with descriptor 1 closed
+            raise OSError(errno.EBADF, "standard output is closed")
+        _emit(payload, args.format, stdout)
+        stdout.flush()
+    except OSError as exc:
+        stderr.write(f"error: cannot write output: {exc}\n")
+        if stdout is not None and stdout is sys.__stdout__:
+            # the unwritten bytes stay buffered, and the interpreter's exit flush would fail
+            # on them again: let the null device take them (the signal module's SIGPIPE note)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout.fileno())
+            os.close(devnull)
+        return EXIT_INPUT
     return EXIT_OK if payload.get("pass", True) else EXIT_VERIFY
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import operator
 from itertools import accumulate
-from typing import Iterable, Sequence
 
 from .errors import InvalidArgumentError, InvalidWeightsError
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 from .core import FrozenValue
 from .errors import InternalInconsistencyError, InvalidArgumentError

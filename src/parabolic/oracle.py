@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Callable, Iterable
 
 from .bounds import ed_p_value, ed_upper_bound, gerbe_ed_p, gerbe_ed_upper
 from .core import (

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
 
 from .core import (
     FrozenValue,

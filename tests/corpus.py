@@ -7,6 +7,9 @@ mode of every command.  The golden (``tests/data/corpus_outputs.json``) holds
 each command's usage line (its ``--help`` up to the first blank line) and, for
 each run, its exit code, stdout in both formats and stderr.
 
+``invoke`` runs one argv in-process; ``fresh`` starts a new interpreter on
+this checkout's package, for the checks that need a whole process.
+
 ``PYTHONPATH=src python tests/corpus.py`` prints the golden as this checkout
 computes it.
 """
@@ -15,11 +18,14 @@ import functools
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 from parabolic.cli import COMMANDS, run
 
 DATA = Path(__file__).resolve().parent / "data"
+SRC = DATA.parents[1] / "src"
 NO_DOCUMENT = "no document"
 
 
@@ -73,6 +79,17 @@ def invoke(argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     code = run(argv, stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def fresh(*args: str, stdout=subprocess.PIPE,
+          timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run ``python -S`` with args on this checkout's package; stderr is captured.
+
+    Without ``site`` no ``.pth`` file preloads a module, so the child's
+    ``sys.modules`` holds only what the interpreter and its run import."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-S", *args], env={**os.environ, "PYTHONPATH": path},
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout)
 
 
 def write(directory: Path, name: str) -> str:

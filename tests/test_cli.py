@@ -1,8 +1,8 @@
+import errno
 import io
 import json
 import os
 import pickle
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -20,7 +20,7 @@ from parabolic.errors import (
 from parabolic.oracle import VerificationReport
 
 import corpus
-from corpus import invoke
+from corpus import fresh, invoke
 
 
 def test_end_chi_and_hom_datum_agree(tmp_path):
@@ -62,7 +62,7 @@ def test_text_format_flag_and_env(tmp_path, monkeypatch):
     assert [invoke(argv) for argv in argvs] == json_outs
 
 
-def test_input_error_paths(tmp_path):
+def test_input_error_paths(tmp_path, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text("{bad json")
     code, _, err = invoke(["chi", "-i", str(bad)])
@@ -86,6 +86,31 @@ def test_input_error_paths(tmp_path):
     weights.write_text(json.dumps(doc))
     code, _, err = invoke(["chi", "-i", str(weights)])
     assert code == 2 and "nonincreasing" in err
+
+    # a process started with descriptor 0 closed has no sys.stdin
+    monkeypatch.setattr(sys, "stdin", None)
+    assert invoke(["chi", "-i", "-"]) == (
+        2, "", "error: cannot read input: [Errno 9] standard input is closed\n")
+
+
+class _FullDevice(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_unwritable_output_exits_2():
+    err = io.StringIO()
+    assert cli.run(["gerbe-ed", "12"], _FullDevice(), err) == cli.EXIT_INPUT == 2
+    assert err.getvalue() == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_output_to_a_full_device_exits_2_with_one_line():
+    # the unwritten bytes must not fail the interpreter's exit flush a second time
+    with open("/dev/full", "w") as full:
+        result = fresh("-m", "parabolic.cli", "gerbe-ed", "12", stdout=full)
+    assert (result.returncode, result.stderr) == (
+        2, "error: cannot write output: [Errno 28] No space left on device\n")
 
 
 def test_internal_error_exits_4_without_traceback(tmp_path, monkeypatch):
@@ -300,78 +325,7 @@ def test_verify_output_is_pinned(golden):
     assert invoke(GOLDENS[golden]) == (0, expected, "")
 
 
-def _fresh(probe):
-    # runs the probe in a fresh interpreter, importing this checkout's package;
-    # returns the last line it prints
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
-                            capture_output=True, text=True, check=True)
-    return result.stdout.splitlines()[-1]
-
-
-def _loaded_after(statement, module):
-    return _fresh(f"import sys, parabolic.cli; {statement}; print({module!r} in sys.modules)") == "True"
-
-
-LAZY_MODULES = ("parabolic.cyclotomic", "parabolic.oracle")
-
-
-def _executed_after(statement, module="parabolic.cli"):
-    # which lazy modules have run their code after importing module: each must stay
-    # in sys.modules, and type() reads no attribute, so executed() itself loads nothing
-    return json.loads(_fresh(
-        f"import json, sys, types, {module}\n"
-        f"def executed(): return [type(sys.modules[m]) is types.ModuleType for m in {LAZY_MODULES!r}]\n"
-        f"{statement}\nprint(json.dumps(executed()))"))
-
-
-def test_document_commands_leave_the_lazy_modules_unexecuted():
-    # every corpus run but verify's, its document on stdin
-    documents = {name: json.dumps(doc) for name, (_reason, doc) in corpus.DOCUMENTS.items()}
-    runs = [(name, ["-" if arg == "{doc}" else arg for arg in argv], entry["code"])
-            for name, argv, entry in corpus.runs() if argv[0] != "verify"]
-    # each run exits as its golden entry says, and neither module has run after it
-    assert _executed_after(
-        "import io\n"
-        f"documents = {documents!r}\n"
-        f"for name, argv, code in {runs!r}:\n"
-        "    sys.stdin, out = io.StringIO(documents.get(name)), io.StringIO()\n"
-        "    assert parabolic.cli.run(argv, out, out) == code, argv\n"
-        "    assert executed() == [False, False], argv") == [False, False]
-
-
-def test_verify_executes_the_lazy_modules():
-    # the oracle only: no suite of verify uses the Q(zeta_e) field
-    assert _executed_after(
-        "import io\n"
-        "for argv in [['verify'], ['verify', '--e-max', '150', '--random', '0']]:\n"
-        "    out = io.StringIO()\n"
-        "    assert parabolic.cli.run(argv, out, out) == 0, argv\n"
-        "    assert executed() == [False, True], argv") == [False, True]
-
-
-def test_importing_the_package_registers_both_lazy_modules_unexecuted():
-    # the package registers them itself; nothing of the CLI is needed for that
-    assert _executed_after("assert 'parabolic.cli' not in sys.modules; "
-                           "assert parabolic.cyclotomic is sys.modules['parabolic.cyclotomic']; "
-                           "assert parabolic.oracle is sys.modules['parabolic.oracle']",
-                           module="parabolic") == [False, False]
-
-
 CLOSED_FORMS = ("geometric_sum", "inverse_sum", "ratio_sum", "shifted_sum", "inertia_total")
-
-
-def test_perfbench_finds_run_all_after_importing_the_cli():
-    # perfbench's span installer reads vars() of each layer module right after the
-    # import, and its layer probes read these names on parabolic.cyclotomic
-    field_names = ("cyclo_field", "cyclotomic_poly", "inertia_term", "geometric_sum",
-                   "inverse_sum", "ratio_sum", "shifted_sum")
-    assert _executed_after(
-        "assert 'run_all' in vars(sys.modules['parabolic.oracle']); "
-        f"assert set({field_names!r}) <= set(vars(sys.modules['parabolic.cyclotomic']))"
-    ) == [True, True]
 
 
 @pytest.mark.parametrize("name", CLOSED_FORMS)
@@ -382,15 +336,11 @@ def test_each_closed_form_is_one_object(name):
     assert getattr(parabolic, name) is function is getattr(parabolic.cyclotomic, name)
 
 
-def test_the_cli_reuses_an_oracle_imported_before_it():
-    # a second module object would leave a patch of the first unseen by verify
-    assert _fresh("import sys, parabolic.oracle as o, parabolic.cli as c; "
-                  "print(c.oracle is o is sys.modules['parabolic.oracle'])") == "True"
-
-
 def test_import_forms_work_on_the_lazy_field():
     element = parabolic.cyclo_field(5).from_cover([1, 2, 3, 4, 5])
     pickled = pickle.dumps(element)
+    # each form, in a fresh interpreter that has imported the CLI, executes the field's
+    # module and not the oracle
     for statement in [
         "assert parabolic.cyclo_field(5).e == 5",
         "from parabolic import *; assert CycloElem.__module__ == 'parabolic.cyclotomic'",
@@ -398,9 +348,10 @@ def test_import_forms_work_on_the_lazy_field():
         f"import pickle; assert pickle.loads({pickled!r}).coeff_strings() == "
         f"{element.coeff_strings()!r}",
     ]:
-        assert _executed_after(statement) == [True, False], statement
-    # dir() lists the field's names without running the module
-    assert _executed_after("assert set(parabolic.__all__) <= set(dir(parabolic))") == [False, False]
+        result = fresh("-c", f"import sys, types, parabolic.cli\n{statement}\n"
+                             "print([type(sys.modules[m]) is types.ModuleType "
+                             "for m in ('parabolic.cyclotomic', 'parabolic.oracle')])")
+        assert (result.returncode, result.stdout) == (0, "[True, False]\n"), result.stderr
 
 
 # names deleted from the library (README, "Removed names"), by the module that had them
@@ -416,7 +367,8 @@ REMOVED_NAMES = {
 def test_removed_names_stay_removed_and_star_import_binds_all():
     # in a fresh interpreter, so no earlier test has loaded a lazy module; the
     # package's __getattr__ must not serve a removed name either
-    assert _fresh(
+    result = fresh(
+        "-c",
         "import importlib\n"
         f"for module, names in {REMOVED_NAMES!r}.items():\n"
         "    for name in names:\n"
@@ -428,8 +380,8 @@ def test_removed_names_stay_removed_and_star_import_binds_all():
         "namespace = {}\n"
         "exec('from parabolic import *', namespace)\n"
         "del namespace['__builtins__']\n"
-        "print(sorted(set(namespace) ^ set(importlib.import_module('parabolic').__all__)))"
-    ) == "[]"
+        "print(sorted(set(namespace) ^ set(importlib.import_module('parabolic').__all__)))")
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
 
 
 def test_removed_field_operations_stay_removed():
@@ -442,32 +394,6 @@ def test_removed_field_operations_stay_removed():
     for operation in (lambda: z / 2, lambda: 2 / z, lambda: 2 - z, lambda: z ** 2):
         with pytest.raises(TypeError):
             operation()
-
-
-def test_verify_leaves_bigprime_unloaded():
-    # every split prime for e <= 101 is below 1024^2, so trial division decides it;
-    # from e = 102 on, q > e^3 passes 2^20 and Miller-Rabin runs.  A loaded module
-    # stays in sys.modules, so this also holds after importing the CLI alone
-    assert not _loaded_after(
-        "import io; out = io.StringIO(); "
-        "assert parabolic.cli.run(['verify'], out, out) == 0; "
-        "assert parabolic.cli.run(['verify', '--e-max', '40', '--random', '0'], out, out) == 0; "
-        "assert parabolic.cli.run(['verify', '--e-max', '101', '--random', '0'], out, out) == 0",
-        "parabolic.bigprime",
-    )
-
-
-@pytest.mark.parametrize("module", ["dataclasses", "inspect"])
-def test_chi_and_verify_leave_the_start_up_import_set(module):
-    # dataclasses with inspect, ast, dis and tokenize cost about 15 ms of every process
-    doc = json.dumps(corpus.readme)
-    assert not _loaded_after(
-        "import io; out = io.StringIO(); "
-        f"sys.stdin = io.StringIO({doc!r}); "
-        "assert parabolic.cli.run(['chi', '-i', '-'], out, out) == 0; "
-        "assert parabolic.cli.run(['verify'], out, out) == 0",
-        module,
-    )
 
 
 def test_readme_table_names_every_command():

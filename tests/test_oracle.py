@@ -1,9 +1,6 @@
 import cmath
 import json
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +29,8 @@ from parabolic.oracle import (
     run_all,
 )
 from parabolic.riemann_roch import ChiReport
+
+import corpus
 
 
 def _checked(check, x):
@@ -73,10 +72,8 @@ def test_lcg_below_refuses_ranges_past_2_64_at_once():
                 continue
             raise AssertionError("accepted a range past 2^64")
     """
-    src = str(Path(oracle.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
-                   check=True, timeout=10)
+    result = corpus.fresh("-c", probe, timeout=10)
+    assert result.returncode == 0, result.stderr
 
 
 def test_random_weights_examples():

@@ -9,13 +9,17 @@ records each code object it enters by file, first line and name, and ``ast``
 maps those keys to qualified names (``co_qualname`` is new in Python 3.11).
 A function that no run enters must be on ``ALLOWED`` with a reason; anything
 else that only tests call is not part of the library, so delete it.
+
+The same run, the walk, is the one home of the process-state contract: after
+each stage it records which lazy modules have executed and which other modules
+of interest are loaded, and ``STATES`` pins that table.  It runs once per
+session, under ``python -S``: a ``site`` ``.pth`` file could preload a module
+such as ``typing`` and hide what the package itself imports.
 """
 
 import ast
+import functools
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 from parabolic import cli
@@ -47,18 +51,19 @@ ALLOWED = {
     "parabolic.riemann_roch.ChiReport.__init__": (
         "euler_char builds its report without it; unpickling and copy rebuild a report through "
         "it"),
-    "parabolic.__dir__": "README: dir(parabolic) lists the lazy field names",
-    "parabolic.cli.main": "the console script, run by CI's console-script step; it exits the "
-                          "process, so the run calls cli.run",
+    "parabolic.cli.main": "the console script, run by CI's console-script step and as "
+                          "python -m parabolic.cli; it exits the process, so the run calls "
+                          "cli.run",
 }
 
-# argv: root, package directory, documents, runs; prints the entered keys as JSON
+# argv: root, package directory, documents, runs; prints the entered keys and the state
+# after each stage as JSON
 TRACED_RUN = r"""
-import io, json, os, sys, tempfile
+import io, json, os, sys, tempfile, types
 
 root, package = sys.argv[1], sys.argv[2] + os.sep
 documents, runs = json.loads(sys.argv[3]), json.loads(sys.argv[4])
-entered = set()
+entered, states = set(), []
 
 
 def enter(frame, event, arg):
@@ -68,20 +73,60 @@ def enter(frame, event, arg):
         entered.add((os.path.basename(code.co_filename), code.co_firstlineno, code.co_name))
 
 
+def stage(name):
+    # a lazy module has executed once its type is ModuleType; type() reads no attribute, so
+    # this check executes nothing.  Any other module counts once it is in sys.modules
+    executed = [m for m in ("cyclotomic", "oracle")
+                if type(sys.modules.get("parabolic." + m)) is types.ModuleType]
+    loaded = [m for m in ("parabolic.cli", "parabolic.bigprime", "typing", "dataclasses",
+                          "inspect") if m in sys.modules]
+    states.append((name, executed + [m.removeprefix("parabolic.") for m in loaded]))
+
+
+def run(argv, code):
+    for fmt in ("json", "text"):
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.run([*argv, "--format", fmt], out, err) == code, (argv, err.getvalue())
+
+
 sys.settrace(enter)
+stage("start")
 import parabolic
+assert parabolic.cyclotomic is sys.modules["parabolic.cyclotomic"]
+assert parabolic.oracle is sys.modules["parabolic.oracle"]
+# README: dir() lists the field's names, without executing the field
+assert set(parabolic.__all__) <= set(dir(parabolic))
+stage("import parabolic, then dir()")
 from parabolic import cli
+# the oracle bound before the CLI: a second module would leave a patch of the first unseen by
+# verify.  (import parabolic.oracle would execute it, since the import reads its __spec__)
+assert cli.oracle is parabolic.oracle
+stage("from parabolic import cli")
 
 with tempfile.TemporaryDirectory() as tmp:
     for name, document in documents.items():
         with open(os.path.join(tmp, name), "w") as fh:
             fh.write(document)
     for name, argv, code in runs:
-        argv = [os.path.join(tmp, name) if a == "{doc}" else a for a in argv]
-        for fmt in ("json", "text"):
-            out, err = io.StringIO(), io.StringIO()
-            assert cli.run([*argv, "--format", fmt], out, err) == code, (argv, err.getvalue())
+        if argv[0] != "verify":
+            run([os.path.join(tmp, name) if a == "{doc}" else a for a in argv], code)
+stage("every run of a document command")
 
+# gerbe-ed 1065023 loaded bigprime for Pollard rho; verify must load it only from e = 102 on:
+# every split prime for e <= 101 is below 1024^2, so trial division decides it, and from
+# e = 102 on q > e^3 passes 2^20 and Miller-Rabin runs.  These three run untraced, since
+# the trace would triple their time; the corpus's small verify is traced
+sys.modules.pop("parabolic.bigprime", None)
+sys.settrace(None)
+for argv in (["verify"], ["verify", "--e-max", "101", "--random", "0"],
+             ["verify", "--e-max", "150", "--random", "0"]):
+    assert cli.run(argv, io.StringIO(), io.StringIO()) == 0, argv
+    stage(" ".join(argv))
+sys.settrace(enter)
+
+for name, argv, code in runs:
+    if argv[0] == "verify":
+        run(argv, code)
 sys.path.insert(0, os.path.join(root, "perfbench"))
 import checks, gen, layers, workloads
 
@@ -98,10 +143,38 @@ for family in layers.SWEEP_FAMILIES:
 # verify_pass: the same table fills and suites as at e <= 60, on fewer cases
 workloads.VERIFY_E_MAX, workloads.VERIFY_RANDOM = 12, 20
 assert all(r.passed for r in layers.verify_pass(None, 1)[1])
+stage("the corpus's verify, then the benchmark's calls")
+
+# perfbench's span installer reads vars() of each layer module right after a fresh import of
+# the CLI, and its layer probes read the field's names on parabolic.cyclotomic
+workloads.fresh_import("parabolic.cli")
+assert "run_all" in vars(sys.modules["parabolic.oracle"])
+assert {"cyclo_field", "cyclotomic_poly", "inertia_term", "geometric_sum", "inverse_sum",
+        "ratio_sum", "shifted_sum"} <= set(vars(sys.modules["parabolic.cyclotomic"]))
+stage("a fresh import of the CLI, then vars() of both lazy modules")
 
 sys.settrace(None)
-print(json.dumps(sorted(entered)))
+print(json.dumps({"entered": sorted(entered), "states": states}))
 """
+
+# the state after each stage of TRACED_RUN: the lazy modules (cyclotomic, oracle) that have
+# executed, then the other modules of interest in sys.modules.  The twelve document commands
+# execute neither lazy module, verify only the oracle, and nothing loads typing; only the
+# benchmark's own imports load dataclasses and inspect.  Its verify_pass imports the package
+# afresh, which drops bigprime from sys.modules
+STATES = [
+    ("start", []),
+    ("import parabolic, then dir()", []),
+    ("from parabolic import cli", ["cli"]),
+    ("every run of a document command", ["cli", "bigprime"]),
+    ("verify", ["oracle", "cli"]),
+    ("verify --e-max 101 --random 0", ["oracle", "cli"]),
+    ("verify --e-max 150 --random 0", ["oracle", "cli", "bigprime"]),
+    ("the corpus's verify, then the benchmark's calls",
+     ["cyclotomic", "oracle", "cli", "dataclasses", "inspect"]),
+    ("a fresh import of the CLI, then vars() of both lazy modules",
+     ["cyclotomic", "oracle", "cli", "dataclasses", "inspect"]),
+]
 
 
 def _functions() -> dict[tuple[str, int, str], str]:
@@ -126,16 +199,16 @@ def _functions() -> dict[tuple[str, int, str], str]:
     return found
 
 
-def _entered() -> set[tuple[str, int, str]]:
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+@functools.cache
+def _walk() -> tuple[set[tuple[str, int, str]], list[tuple[str, list[str]]]]:
+    """TRACED_RUN's entered keys and stage states, from one run per session."""
     documents = {name: json.dumps(doc) for name, (_reason, doc) in corpus.DOCUMENTS.items()}
     runs = [(name, argv, entry["code"]) for name, argv, entry in corpus.runs()]
-    result = subprocess.run(
-        [sys.executable, "-c", TRACED_RUN, str(ROOT), str(PACKAGE), json.dumps(documents),
-         json.dumps(runs)],
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120)
+    result = corpus.fresh("-c", TRACED_RUN, str(ROOT), str(PACKAGE), json.dumps(documents),
+                          json.dumps(runs), timeout=120)
     assert result.returncode == 0, result.stderr[-2000:]
-    return {tuple(key) for key in json.loads(result.stdout.splitlines()[-1])}
+    walk = json.loads(result.stdout.splitlines()[-1])
+    return {tuple(key) for key in walk["entered"]}, [tuple(row) for row in walk["states"]]
 
 
 def test_every_function_is_reached_or_allowed():
@@ -143,7 +216,7 @@ def test_every_function_is_reached_or_allowed():
     functions = _functions()
     stale = sorted(set(ALLOWED) - set(functions.values()))
     assert not stale, f"allowlist entries that name no function: {stale}"
-    entered = _entered()
+    entered = _walk()[0]
     reached = [name for key, name in functions.items() if key in entered]
     unreached = sorted(name for key, name in functions.items()
                        if key not in entered and name not in ALLOWED)
@@ -153,3 +226,7 @@ def test_every_function_is_reached_or_allowed():
     assert not unreached, (
         f"functions that no command, verify or benchmark call enters: {unreached}; "
         "delete them, or add each to ALLOWED with its reason")
+
+
+def test_each_stage_leaves_the_expected_modules():
+    assert _walk()[1] == STATES
