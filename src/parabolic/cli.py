@@ -14,10 +14,11 @@ Input documents describe an orbifold curve and a bundle on it::
 ``trdeg-bound``; without it, both use the one piece carrying the bundle's
 own weights.  Output is JSON by default (``--format text`` for a plain
 table).  Exit codes: 0 success, 1 hypothesis violation, 2 input error
-(unreadable input and unwritable output included), 3 verification failure,
-4 internal error (a defect: one line on stderr, no traceback; for
-``verify``, any error raised after its arguments are checked).  Rationals
-are emitted as exact "p/q" strings, never floats.
+(unreadable input and unwritable output included, ``--help`` too), 3
+verification failure, 4 internal error (a defect: one line on stderr, no
+traceback; for ``verify``, any error raised after its arguments are
+checked).  An error line that cannot be written is dropped, and the exit
+code stands.  Rationals are emitted as exact "p/q" strings, never floats.
 
 Each ``COMMANDS`` entry is (help, arguments, handler).  A handler returns the
 payload to print; the exit code is 3 when its ``"pass"`` is false, else 0.
@@ -29,6 +30,7 @@ import argparse
 import contextlib
 import errno
 import functools
+import io
 import json
 import os
 import sys
@@ -218,11 +220,24 @@ def _flat(value: Any) -> str:
     return str(value)
 
 
-def _emit(payload: Any, fmt: str, stdout: TextIO) -> None:
-    if fmt == "json":
-        stdout.write(json.dumps(payload, indent=2) + "\n")
-    else:
-        stdout.write("\n".join(_render_text(payload)) + "\n")
+def _write(stream: TextIO | None, text: str) -> OSError | None:
+    """Write and flush text; returns the OSError that stopped it instead of raising it."""
+    if not text:
+        return None
+    if stream is None:  # the process started with this descriptor closed
+        return OSError(errno.EBADF, os.strerror(errno.EBADF))
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        if stream in (sys.__stdout__, sys.__stderr__):
+            # the unwritten bytes stay buffered, and the interpreter's exit flush would fail
+            # on them again: let the null device take them (the signal module's SIGPIPE note)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
+        return exc
+    return None
 
 
 def _prime_arg(value: int) -> int:
@@ -361,45 +376,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Sequence[str], stdout: TextIO | None = None,
         stderr: TextIO | None = None) -> int:
-    """Run one CLI invocation; returns the exit code."""
-    stdout = stdout if stdout is not None else sys.stdout
-    stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
+    """Run one CLI invocation and return its exit code.  The outcome (code, stdout
+    text, stderr text) is settled first; then every byte goes through ``_write``."""
+    buffers = io.StringIO(), io.StringIO()
     try:
-        # argparse writes --help and usage errors to sys.stdout / sys.stderr itself
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            args = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        # argparse reports usage errors itself and exits with 2
-        return EXIT_INPUT if exc.code else EXIT_OK
-
-    try:
+        # argparse prints --help or a usage error to sys.stdout / sys.stderr, then exits 0 or 2
+        with contextlib.redirect_stdout(buffers[0]), contextlib.redirect_stderr(buffers[1]):
+            args = _build_parser().parse_args(list(argv))
         payload = COMMANDS[args.command][2](args)
+        text = (json.dumps(payload, indent=2) if args.format == "json"
+                else "\n".join(_render_text(payload)))
+        code, out, err = EXIT_OK if payload.get("pass", True) else EXIT_VERIFY, text + "\n", ""
+    except SystemExit as exc:
+        code, out, err = EXIT_INPUT if exc.code else EXIT_OK, *(b.getvalue() for b in buffers)
     except (InputError, InvalidArgumentError) as exc:
-        stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
+        code, out, err = EXIT_INPUT, "", f"error: {exc}\n"
     except HypothesisViolationError as exc:
-        stderr.write(f"error: {exc}\n")
-        return EXIT_HYPOTHESIS
+        code, out, err = EXIT_HYPOTHESIS, "", f"error: {exc}\n"
     except Exception as exc:  # a defect, such as an InternalInconsistencyError
         exc = exc.__cause__ if isinstance(exc, _RunDefect) else exc
-        stderr.write(f"error: internal: {type(exc).__name__}: {exc}\n")
-        return EXIT_INTERNAL
-    try:
-        if stdout is None:  # the process started with descriptor 1 closed
-            raise OSError(errno.EBADF, "standard output is closed")
-        _emit(payload, args.format, stdout)
-        stdout.flush()
-    except OSError as exc:
-        stderr.write(f"error: cannot write output: {exc}\n")
-        if stdout is not None and stdout is sys.__stdout__:
-            # the unwritten bytes stay buffered, and the interpreter's exit flush would fail
-            # on them again: let the null device take them (the signal module's SIGPIPE note)
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, stdout.fileno())
-            os.close(devnull)
-        return EXIT_INPUT
-    return EXIT_OK if payload.get("pass", True) else EXIT_VERIFY
+        code, out, err = EXIT_INTERNAL, "", f"error: internal: {type(exc).__name__}: {exc}\n"
+    if failure := _write(stdout if stdout is not None else sys.stdout, out):
+        code, err = EXIT_INPUT, f"error: cannot write output: {failure}\n"
+    _write(stderr if stderr is not None else sys.stderr, err)
+    return code
 
 
 def main() -> None:

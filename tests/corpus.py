@@ -14,6 +14,7 @@ this checkout's package, for the checks that need a whole process.
 computes it.
 """
 
+import errno
 import functools
 import io
 import json
@@ -81,15 +82,23 @@ def invoke(argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def fresh(*args: str, stdout=subprocess.PIPE,
+def fresh(*args: str, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
           timeout: float = 60) -> subprocess.CompletedProcess:
-    """Run ``python -S`` with args on this checkout's package; stderr is captured.
+    """Run ``python -S`` with args on this checkout's package; each stream not given
+    is captured.
 
     Without ``site`` no ``.pth`` file preloads a module, so the child's
     ``sys.modules`` holds only what the interpreter and its run import."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-S", *args], env={**os.environ, "PYTHONPATH": path},
-                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout)
+                          stdout=stdout, stderr=stderr, text=True, timeout=timeout)
+
+
+class FullDevice(io.StringIO):
+    """A text stream whose every write fails, as on a full device."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 def write(directory: Path, name: str) -> str:

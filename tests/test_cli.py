@@ -1,4 +1,3 @@
-import errno
 import io
 import json
 import os
@@ -39,9 +38,9 @@ def test_end_chi_and_hom_datum_agree(tmp_path):
         assert json.loads(out)["chi"] == json.loads(invoke(["end-chi", "-i", path])[1])["end_chi"]
 
 
-def test_gerbe_ed_commands():
-    code, _, err = invoke(["gerbe-ed-p", "12", "--prime", "6"])
-    assert code == 2 and "prime" in err
+def test_non_prime_prime_exits_2():
+    assert invoke(["gerbe-ed-p", "12", "--prime", "6"]) == (
+        2, "", "error: --prime must be a prime number, got 6\n")
 
 
 def test_verify_failure_exits_3(monkeypatch):
@@ -93,24 +92,79 @@ def test_input_error_paths(tmp_path, monkeypatch):
         2, "", "error: cannot read input: [Errno 9] standard input is closed\n")
 
 
-class _FullDevice(io.StringIO):
-    def write(self, text):
-        raise OSError(errno.ENOSPC, "No space left on device")
+def _defect(n):
+    raise InternalInconsistencyError(f"gerbe-ed defect at {n}")
 
 
-def test_unwritable_output_exits_2():
-    err = io.StringIO()
-    assert cli.run(["gerbe-ed", "12"], _FullDevice(), err) == cli.EXIT_INPUT == 2
-    assert err.getvalue() == "error: cannot write output: [Errno 28] No space left on device\n"
+# one argv of each outcome, with its exit code when both streams can be written; "{doc}"
+# stands for the corpus's genus-1 document, and the internal error patches in _defect
+OUTCOMES = {
+    "payload": (["gerbe-ed", "12"], 0),
+    "help": (["--help"], 0),
+    "usage-error": (["chi", "--bogus"], 2),
+    "input-error": (["gerbe-ed", "0"], 2),
+    "hypothesis": (["ed-bound", "-i", "{doc}"], 1),
+    "internal-error": (["gerbe-ed", "12"], 4),
+}
+CANNOT_WRITE = {"full": "error: cannot write output: [Errno 28] No space left on device\n",
+                "none": "error: cannot write output: [Errno 9] Bad file descriptor\n"}
+
+
+def _outcome_argv(tmp_path, monkeypatch, outcome):
+    if outcome == "internal-error":
+        monkeypatch.setattr(cli, "gerbe_ed_upper", _defect)
+    argv, code = OUTCOMES[outcome]
+    return [corpus.write(tmp_path, "genus-1") if a == "{doc}" else a for a in argv], code
+
+
+@pytest.mark.parametrize("outcome", OUTCOMES)
+@pytest.mark.parametrize("failing", ["stdout-full", "stdout-none", "stderr-full", "stderr-none"])
+def test_failing_stream_exit_codes(tmp_path, monkeypatch, failing, outcome):
+    # a write that raises OSError(ENOSPC), or a process started with the descriptor closed
+    argv, code = _outcome_argv(tmp_path, monkeypatch, outcome)
+    name, kind = failing.split("-")
+    streams = {"stdout": io.StringIO(), "stderr": io.StringIO()}
+    streams[name] = corpus.FullDevice() if kind == "full" else None
+    if kind == "none":
+        monkeypatch.setattr(sys, name, None)
+    got = cli.run(argv, streams["stdout"], streams["stderr"])
+    if name == "stderr":
+        # the error line is lost; the code stands, and only exit 0 prints
+        assert got == code
+        assert bool(streams["stdout"].getvalue()) == (code == 0)
+    elif code == 0:
+        # a payload or --help that cannot be written is an input error
+        assert (got, streams["stderr"].getvalue()) == (2, CANNOT_WRITE[kind])
+    else:
+        err = streams["stderr"].getvalue()
+        assert got == code and sum("error:" in line for line in err.splitlines()) == 1, err
+
+
+# python -S -c this, then argv: the CLI in a new interpreter started with descriptor 2 closed
+_STDERR_CLOSED = ("import os, sys; os.close(2); "
+                  "os.execv(sys.executable, [sys.executable, '-S', '-m', 'parabolic.cli', "
+                  "*sys.argv[1:]])")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-def test_output_to_a_full_device_exits_2_with_one_line():
-    # the unwritten bytes must not fail the interpreter's exit flush a second time
+@pytest.mark.parametrize("stream, outcome", [
+    ("stdout", "payload"), ("stdout", "help"), ("stderr", "input-error"),
+    ("closed", "input-error"), ("stderr", "hypothesis"),
+])
+def test_output_to_a_full_device_exits_2_with_one_line(tmp_path, monkeypatch, stream, outcome):
+    # the unwritten bytes must not fail the interpreter's exit flush a second time, which
+    # would print "Exception ignored" and exit 120
+    argv, code = _outcome_argv(tmp_path, monkeypatch, outcome)
     with open("/dev/full", "w") as full:
-        result = fresh("-m", "parabolic.cli", "gerbe-ed", "12", stdout=full)
-    assert (result.returncode, result.stderr) == (
-        2, "error: cannot write output: [Errno 28] No space left on device\n")
+        if stream == "closed":
+            result = fresh("-c", _STDERR_CLOSED, *argv)
+        else:
+            result = fresh("-m", "parabolic.cli", *argv, **{stream: full})
+    if stream == "stdout":
+        assert (result.returncode, result.stderr) == (2, CANNOT_WRITE["full"])
+    else:
+        # stderr cannot be read: the code stands, and nothing reaches stdout
+        assert (result.returncode, result.stdout) == (code, "")
 
 
 def test_internal_error_exits_4_without_traceback(tmp_path, monkeypatch):
@@ -144,8 +198,6 @@ def test_library_error_inside_verify_exits_4(monkeypatch, error):
 
 
 def test_stdin_input(monkeypatch):
-    import sys
-
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(corpus.readme)))
     code, out, _ = invoke(["chi", "-i", "-"])
     assert code == 0

@@ -6,6 +6,8 @@ and --format extras, valid or not.  ``verify`` gets --e-max, --random and
 --seed values in and out of range.  Whatever the input, no exception may
 escape ``cli.run``, the exit code is 0, 1 or 2 (0 or 2 for ``verify``), and a
 non-zero exit leaves no output and exactly one ``error:`` line on stderr.
+Each document command also draws which stream fails on every write: none,
+stdout or stderr.
 """
 
 import io
@@ -18,6 +20,8 @@ from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 from parabolic import cli
+
+from corpus import FullDevice
 
 DOC_COMMANDS = [name for name, (_help, arguments, _handler) in cli.COMMANDS.items()
                 if arguments[0] is cli._INPUT]
@@ -105,11 +109,13 @@ SEED = (st.integers() | st.sampled_from([10**3999, -(10**3999)])).map(str)
 FORMAT = st.sampled_from([[], [], [], ["--format", "xml"]])
 
 
-def _run_on_stdin(argv, text):
-    out, err = io.StringIO(), io.StringIO()
+def _run_on_stdin(argv, text, failing):
+    streams = {"stdout": io.StringIO(), "stderr": io.StringIO()}
+    if failing:
+        streams[failing] = FullDevice()
     with mock.patch.object(sys, "stdin", io.StringIO(text)):
-        code = cli.run(argv, stdout=out, stderr=err)
-    return code, out.getvalue(), err.getvalue()
+        code = cli.run(argv, **streams)
+    return code, streams["stdout"].getvalue(), streams["stderr"].getvalue()
 
 
 def test_fuzz_covers_every_document_command():
@@ -118,13 +124,19 @@ def test_fuzz_covers_every_document_command():
 
 @settings(max_examples=200, derandomize=True, deadline=2000,
           suppress_health_check=[HealthCheck.too_slow])
-@given(command=st.sampled_from(DOC_COMMANDS), text=documents, extra=extras)
+@given(command=st.sampled_from(DOC_COMMANDS), text=documents, extra=extras,
+       failing=st.sampled_from([None, "stdout", "stderr"]))
 # a usage error once went to the real sys.stderr, leaving err empty
-@example(command="chi", text="{}", extra=["--format", "xml"])
-def test_document_commands_exit_cleanly(command, text, extra):
-    code, out, err = _run_on_stdin([command, "-i", "-", *extra], text)
-    event(f"exit {code}")
-    _assert_clean(code, out, err, (0, 1, 2))
+@example(command="chi", text="{}", extra=["--format", "xml"], failing=None)
+def test_document_commands_exit_cleanly(command, text, extra, failing):
+    code, out, err = _run_on_stdin([command, "-i", "-", *extra], text, failing)
+    event(f"exit {code}, failing {failing}")
+    if failing == "stderr":
+        # the error line is lost and the code stands
+        assert code in (0, 1, 2) and bool(out) == (code == 0)
+    else:
+        # a payload that cannot be written is an input error
+        _assert_clean(code, out, err, (1, 2) if failing else (0, 1, 2))
 
 
 def _assert_clean(code, out, err, codes):
