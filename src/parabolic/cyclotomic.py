@@ -3,8 +3,13 @@
 Elements are polynomial residues modulo the e-th cyclotomic polynomial
 Phi_e: an integer numerator vector over one positive common denominator
 (the layout of FLINT's fmpq_poly), reduced modulo the monic Phi_e in plain
-int arithmetic.  Every inverse, (zeta^i - 1)^-1 included, is one
-fraction-free extended Euclid run against Phi_e.
+int arithmetic.  Inside ``*`` and ``inverse()`` each coefficient vector is
+packed into one int of fixed-width signed slots (Kronecker substitution), so
+a product is one big-int multiply and one big-int division.  Every inverse,
+(zeta^i - 1)^-1 included, is an extended subresultant PRS against Phi_e on
+packed ints, certified by one exact product before it is returned.  The
+slot widths are computed on each call from the operands and Phi_e; a
+CycloField holds only values fixed when it is built.
 
 The closed forms of the root-of-unity sums need no field arithmetic: they
 are defined in ``riemann_roch`` and bound here under the same names.
@@ -44,49 +49,153 @@ def _int_poly_exact_div(num: list[int], den: Sequence[int]) -> list[int]:
     return quot
 
 
-def _poly_inverse(a: Sequence[int], modulus: Sequence[int]) -> tuple[list[int], int]:
-    """(s, c) with a * s == c, a nonzero integer, modulo the irreducible modulus.
+def _length(v: Sequence[int]) -> int:
+    """len(v) without its trailing (top-degree) zeros; v must not be empty."""
+    if v[-1]:
+        return len(v)
+    return len(bytes(map(bool, v)).rstrip(b"\0"))
 
-    Fraction-free extended Euclid: every step r0 <- lead(r1) r0 - lead(r0)
-    x^k r1 is repeated on the cofactor s0, and each (r, s) pair is divided
-    by its joint content, so r == s * a (mod modulus) holds throughout.
+
+def _pack(v: Sequence[int], w: int) -> int:
+    """Kronecker substitution: the polynomial with coefficients v at x = 2**w."""
+    packed = 0
+    for c in reversed(v):
+        packed = (packed << w) + c
+    return packed
+
+
+def _unpack(packed: int, w: int, n: int) -> list[int]:
+    """The n coefficients of a packed polynomial; each must lie strictly within 2**(w-1)."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    # offset every slot by half, so that each holds its coefficient as an unsigned field
+    ones, k = 1, 1
+    while k < n:
+        ones |= ones << (w * k)
+        k *= 2
+    packed += half * (ones & ((1 << (w * n)) - 1))
+    return [((packed >> s) & mask) - half for s in range(0, w * n, w)]
+
+
+def _mul_mod(a: Sequence[int], b: Sequence[int], field: CycloField) -> list[int]:
+    """The field.degree coefficients of a * b modulo Phi_e.
+
+    One big-int product of the packed factors, folded once modulo x^f - 1
+    (odd e, f = e) or x^f + 1 (even e, f = e/2), which Phi_e divides, then
+    one big-int division by the packed Phi_e, skipped when the degree is
+    already below it.  The slot width is rigorous: each folded coefficient
+    sums at most min(len) products, and a long division step by a modulus
+    with coefficients of size at most h grows the largest coefficient by a
+    factor of at most 1 + h.
     """
-    r0, s0, r1, s1 = list(modulus), [], list(a), [1]
+    modulus, n = field.modulus, field.degree
+    la, lb = _length(a), _length(b)
+    if not la or not lb:
+        return [0] * n
+    f = field.e // 2 if field.e % 2 == 0 else field.e
+    size = min(la + lb - 1, f)
+    h = max(map(abs, modulus))
+    steps = max(size - n, 0)
+    bound = min(la, lb) * max(map(abs, a)) * max(map(abs, b)) * (1 + h) ** steps
+    # 2**w >= 2 * bound + h + 2: every remainder slot fits, and |R(2**w)| < Phi(2**w) / 2
+    w = (2 * bound + h + 1).bit_length()
+    packed = _pack(a[:la], w) * _pack(b[:lb], w)
+    if la + lb - 1 > f:
+        high = _rounded_shift(packed, w * f)
+        packed -= high << (w * f)
+        packed += -high if field.e % 2 == 0 else high
+    if steps:
+        phi = _pack(modulus, w)
+        # the quotient rounded to nearest leaves 2 R(2**w) + phi as the remainder
+        packed = (divmod(2 * packed + phi, 2 * phi)[1] - phi) >> 1
+    return _unpack(packed, w, n)
+
+
+def _rounded_shift(packed: int, shift: int) -> int:
+    """packed / 2**shift rounded to nearest: the slots from shift up, the ones below rounded away."""
+    return ((packed >> (shift - 1)) + 1) >> 1 if shift else packed
+
+
+def _top(packed: int, degree: int, count: int, w: int) -> list[int]:
+    """The count coefficients of a packed polynomial from its degree down, zeros below 0."""
+    coeffs, above = [], 0
+    for k in range(degree, max(degree - count, -1), -1):
+        rounded = _rounded_shift(packed, w * k)
+        coeffs.append(rounded - (above << w))
+        above = rounded
+    return coeffs + [0] * (count - len(coeffs))
+
+
+def _prs_inverse(a: Sequence[int], modulus: Sequence[int], w: int) -> tuple[list[int], int]:
+    """(s, c) from the extended subresultant PRS of (modulus, a) at slot width w.
+
+    Collins's subresultant PRS, with the cofactor t of each remainder r = t * a
+    (mod modulus) carried along: each pseudo-remainder and its cofactor are
+    divided exactly by g * h**delta, with no content gcd.  Every r and t is a
+    minor of Sylvester(modulus, a), so only they are read; the pseudo-quotient
+    comes from the top coefficients of the two divisors, and the wider
+    intermediates are exact as packed ints.  A width too narrow for some minor
+    reads garbage, which the caller's certification rejects.
+    """
+    n, m = len(modulus) - 1, len(a) - 1
+    r0, t0, d0 = _pack(modulus, w), 0, n
+    r1, t1, d1 = _pack(a, w), 1, m
+    g = h = 1
+    top1: list[int] = []
+    while d1:
+        delta = d0 - d1
+        # r0 is the previous r1: its top coefficients are read already unless delta grew
+        top0 = top1[:delta + 1] if len(top1) > delta else _top(r0, d0, delta + 1, w)
+        top1 = _top(r1, d1, delta + 1, w)
+        lead = top1[0]
+        powers = [1]
+        for _ in range(delta + 1):
+            powers.append(powers[-1] * lead)
+        # the pseudo-quotient of lead**(delta+1) * r0 by r1 from the top coefficients: its
+        # x^(delta-k) coefficient is y_k * lead**(delta-k), y_k = lead**(k+1) * (true quotient)
+        terms = [(j, b) for j, b in enumerate(top1) if j and b]
+        ys, quot = [], [0] * (delta + 1)
+        for k in range(delta + 1):
+            y = top0[k] * powers[k]
+            for j, b in terms:
+                if j > k:
+                    break
+                y -= ys[k - j] * b * powers[j - 1]
+            ys.append(y)
+            quot[delta - k] = y * powers[delta - k]
+        q, scale, beta = _pack(quot, w), powers[delta + 1], g * h ** delta
+        r2 = (scale * r0 - q * r1) // beta
+        t2 = (scale * t0 - q * t1) // beta
+        d2 = r2.bit_length() // w
+        if not r2 or d2 >= d1:
+            raise ZeroDivisionError("subresultant degree did not drop")
+        r0, t0, d0, r1, t1, d1 = r1, t1, d1, r2, t2, d2
+        g = lead
+        h = g ** delta // h ** (delta - 1)
+    return _unpack(t1, w, n), r1
+
+
+def _inverse(a: Sequence[int], field: CycloField) -> tuple[list[int], int]:
+    """(s, c) with a * s == c, a nonzero integer, modulo Phi_e; a is nonzero.
+
+    The PRS starts at the slot width of Hadamard's bound on the minors of
+    Sylvester(modulus, a), and its answer is returned only once one exact
+    product certifies it; otherwise the width doubles and the PRS runs again.
+    """
+    modulus, n, la = field.modulus, field.degree, _length(a)
+    if la == 1:
+        return [1] + [0] * (n - 1), a[0]
+    a = a[:la]
+    hadamard_sq = sum(c * c for c in modulus) ** (la - 1) * sum(c * c for c in a) ** n
+    w = (math.isqrt(hadamard_sq) + 1).bit_length() + 1
     while True:
-        while r1 and not r1[-1]:
-            r1.pop()
-        if not r1:
-            raise ZeroDivisionError("element shares a factor with the modulus")
-        if len(r1) == 1:
-            return s1, r1[0]
-        while len(r0) >= len(r1):
-            lead, c, k = r1[-1], r0[-1], len(r0) - len(r1)
-            if lead != 1:
-                r0 = [lead * x for x in r0]
-                s0 = [lead * x for x in s0]
-            s0 += [0] * (len(s1) + k - len(s0))
-            for j, x in enumerate(r1):
-                r0[j + k] -= c * x
-            for j, x in enumerate(s1):
-                s0[j + k] -= c * x
-            while r0 and not r0[-1]:
-                r0.pop()
-        g = math.gcd(*r0, *s0)
-        if g > 1:
-            r0, s0 = [x // g for x in r0], [x // g for x in s0]
-        r0, s0, r1, s1 = r1, s1, r0, s0
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    # loop over the sparser factor: a rational or a monomial costs O(len) steps
-    if a.count(0) < b.count(0):
-        a, b = b, a
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
+        try:
+            s, c = _prs_inverse(a, modulus, w)
+        except ZeroDivisionError:
+            pass
+        else:
+            if c and _mul_mod(a, s, field) == [c] + [0] * (n - 1):
+                return s, c
+        w *= 2
 
 
 @lru_cache(maxsize=None)
@@ -217,15 +326,16 @@ class CycloElem(FrozenValue):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.field._reduced(_poly_mul(self.num, o.num), self.den * o.den)
+        return _normalised(self.field, _mul_mod(self.num, o.num, self.field),
+                           self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloElem":
         if not any(self.num):
             raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        s, c = _poly_inverse(self.num, self.field.modulus)
-        return self.field._reduced([x * self.den for x in s], c)
+        s, c = _inverse(self.num, self.field)
+        return _normalised(self.field, [x * self.den for x in s], c)
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -316,3 +317,86 @@ def test_field_sums_match_closed_forms():
         for d in range(1, e + 1):
             shifted = total(lambda i: zeta[i * d % e] * inv[i])
             assert shifted == f.from_rational(shifted_sum(e, d)), (e, d)
+
+
+# the reference route for * and inverse(): schoolbook products and fraction-free Euclid on
+# coefficient lists, the arithmetic the packed kernels replaced
+def _ref_mul(x, y):
+    f = x.field
+    return f._reduced(_poly_mul_int(list(x.num), list(y.num)), x.den * y.den)
+
+
+def _ref_inverse(x):
+    f = x.field
+    r0, s0, r1, s1 = list(f.modulus), [], list(x.num), [1]
+    while True:
+        while not r1[-1]:
+            r1.pop()
+        if len(r1) == 1:
+            return f._reduced([c * x.den for c in s1], r1[0])
+        while len(r0) >= len(r1):
+            lead, c, k = r1[-1], r0[-1], len(r0) - len(r1)
+            r0, s0 = [lead * v for v in r0], [lead * v for v in s0]
+            s0 += [0] * (len(s1) + k - len(s0))
+            for j, v in enumerate(r1):
+                r0[j + k] -= c * v
+            for j, v in enumerate(s1):
+                s0[j + k] -= c * v
+            while r0 and not r0[-1]:
+                r0.pop()
+        g = gcd(*r0, *s0)
+        r0, s0 = [v // g for v in r0], [v // g for v in s0]
+        r0, s0, r1, s1 = r1, s1, r0, s0
+
+
+def _corpus(e, rng):
+    """Dense, huge, monomial, x^k - 1 and rational elements of Q(zeta_e), seeded."""
+    f = cyclo_field(e)
+    n = f.degree
+    dense = f.from_cover([Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)])
+    huge = f.from_cover([rng.randint(-10**40, 10**40) for _ in range(n)])
+    k = rng.randrange(1, e + 1)
+    return [dense, huge, f.zeta_pow(k), f.zeta_pow(k) - 1, f.zeta_pow(n - 1) * Fraction(-7, 3),
+            f.from_rational(Fraction(rng.randint(1, 9), rng.randint(1, 9)))]
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 12, 37, 105, 150])
+def test_products_and_inverses_match_the_reference_route(e):
+    # Phi_105 has a coefficient -2; e = 150 has x^75 + 1 as its fold
+    rng = random.Random(e)
+    elems = [x for x in _corpus(e, rng) if any(x.num)]
+    for x in elems:
+        for y in elems:
+            got, want = x * y, _ref_mul(x, y)
+            assert (got.num, got.den) == (want.num, want.den), (x, y)
+        for q in (3, -10**40, Fraction(-5, 12)):
+            got, want = x * q, _ref_mul(x, x.field.from_rational(q))
+            assert (got.num, got.den) == (want.num, want.den) == ((q * x).num, (q * x).den)
+        got, want = x.inverse(), _ref_inverse(x)
+        assert (got.num, got.den) == (want.num, want.den), x
+
+
+def test_inverse_is_certified(monkeypatch):
+    from parabolic import cyclotomic
+    kernel, widths = cyclotomic._prs_inverse, []
+
+    def wrong_first(a, modulus, w):
+        widths.append(w)
+        s, c = kernel(a, modulus, w)
+        return (s, c) if len(widths) > 1 else ([s[0] + 1, *s[1:]], c)
+
+    def narrow_first(a, modulus, w):
+        widths.append(w)
+        return kernel(a, modulus, w if len(widths) > 1 else 3)
+
+    f = cyclo_field(37)
+    x = f.from_cover([Fraction(3 * k - 50, k + 1) for k in range(36)])
+    want = _ref_inverse(x)
+    for patch in (wrong_first, narrow_first):
+        widths.clear()
+        monkeypatch.setattr(cyclotomic, "_prs_inverse", patch)
+        got = x.inverse()
+        assert (got.num, got.den) == (want.num, want.den)
+        assert len(widths) == 2 and widths[1] == 2 * widths[0]
+    with pytest.raises(ZeroDivisionError, match=r"^inverse of zero in a cyclotomic field$"):
+        f.from_rational(0).inverse()
