@@ -3,13 +3,16 @@
 Elements are polynomial residues modulo the e-th cyclotomic polynomial
 Phi_e: an integer numerator vector over one positive common denominator
 (the layout of FLINT's fmpq_poly), reduced modulo the monic Phi_e in plain
-int arithmetic.  Inside ``*`` and ``inverse()`` each coefficient vector is
-packed into one int of fixed-width signed slots (Kronecker substitution), so
-a product is one big-int multiply and one big-int division.  Every inverse,
-(zeta^i - 1)^-1 included, is an extended subresultant PRS against Phi_e on
-packed ints, certified by one exact product before it is returned.  The
-slot widths are computed on each call from the operands and Phi_e; a
-CycloField holds only values fixed when it is built.
+int arithmetic.  A product goes term by term when one factor is sparse
+or the field small; otherwise each coefficient vector is packed into one
+int of fixed-width signed slots (Kronecker substitution), and the product
+is one big-int multiply and one big-int division.  An inverse is a
+fraction-free extended Euclid run against Phi_e, or, where it is faster,
+an extended subresultant PRS on packed ints, certified by one exact
+product before it is returned.  The routes are chosen and the slot widths
+computed on each call from the operands and Phi_e; packing is internal to
+``*`` and ``inverse()``, and a CycloField holds only values fixed when it
+is built.
 
 The closed forms of the root-of-unity sums need no field arithmetic: they
 are defined in ``riemann_roch`` and bound here under the same names.
@@ -50,10 +53,11 @@ def _int_poly_exact_div(num: list[int], den: Sequence[int]) -> list[int]:
 
 
 def _length(v: Sequence[int]) -> int:
-    """len(v) without its trailing (top-degree) zeros; v must not be empty."""
-    if v[-1]:
-        return len(v)
-    return len(bytes(map(bool, v)).rstrip(b"\0"))
+    """len(v) without its trailing (top-degree) zeros; 0 for the zero vector."""
+    k = len(v)
+    while k and not v[k - 1]:
+        k -= 1
+    return k
 
 
 def _pack(v: Sequence[int], w: int) -> int:
@@ -65,9 +69,12 @@ def _pack(v: Sequence[int], w: int) -> int:
 
 
 def _unpack(packed: int, w: int, n: int) -> list[int]:
-    """The n coefficients of a packed polynomial; each must lie strictly within 2**(w-1)."""
+    """The n coefficients of a packed polynomial; each must lie strictly within 2**(w-1).
+
+    The one slot reader: it offsets every slot by 2**(w-1) and masks, about
+    twice as fast as peeling slots off by rounded shifts.
+    """
     half, mask = 1 << (w - 1), (1 << w) - 1
-    # offset every slot by half, so that each holds its coefficient as an unsigned field
     ones, k = 1, 1
     while k < n:
         ones |= ones << (w * k)
@@ -76,8 +83,51 @@ def _unpack(packed: int, w: int, n: int) -> list[int]:
     return [((packed >> s) & mask) - half for s in range(0, w * n, w)]
 
 
+def _rounded_shift(packed: int, shift: int) -> int:
+    """packed / 2**shift rounded to nearest: the slots from shift up, the ones below rounded away."""
+    return ((packed >> (shift - 1)) + 1) >> 1 if shift else packed
+
+
+def _top(packed: int, degree: int, count: int, w: int) -> list[int]:
+    """The count coefficients of a packed polynomial from its degree down, zeros below 0."""
+    low = max(degree - count + 1, 0)
+    coeffs = _unpack(_rounded_shift(packed, w * low), w, degree - low + 1)[::-1]
+    return coeffs + [0] * (count - len(coeffs))
+
+
 def _mul_mod(a: Sequence[int], b: Sequence[int], field: CycloField) -> list[int]:
-    """The field.degree coefficients of a * b modulo Phi_e.
+    """The field.degree coefficients of a * b modulo Phi_e, by the cheaper of two routes.
+
+    The schoolbook route costs one Python step per product of a nonzero term
+    of the sparser factor with a term of the other, and one per term of
+    Phi_e at each reduction step; the packed route costs about 10 steps per
+    coefficient and 64 more, whatever the operands (measured for e <= 150).
+    So a monomial of low degree or a small field goes term by term, and a
+    rational factor scales the other.
+    """
+    n = field.degree
+    ka, kb = len(a) - a.count(0), len(b) - b.count(0)
+    if not ka or not kb:
+        return [0] * n
+    if ka > kb:
+        a, b, ka = b, a, kb
+    if ka == 1 and a[0]:
+        # a rational factor scales the other
+        return [a[0] * y for y in b] + [0] * (n - len(b))
+    la, lb = _length(a), _length(b)
+    b = b[:lb]
+    if ka * lb + max(la + lb - 1 - n, 0) * len(field._terms) > 10 * n + 64:
+        return _packed_mul(a[:la], b, field)
+    out = [0] * (la + lb - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return field._remainder(out)
+
+
+def _packed_mul(a: Sequence[int], b: Sequence[int], field: CycloField) -> list[int]:
+    """a * b modulo Phi_e on packed ints; a and b have no top zeros.
 
     One big-int product of the packed factors, folded once modulo x^f - 1
     (odd e, f = e) or x^f + 1 (even e, f = e/2), which Phi_e divides, then
@@ -88,17 +138,14 @@ def _mul_mod(a: Sequence[int], b: Sequence[int], field: CycloField) -> list[int]
     factor of at most 1 + h.
     """
     modulus, n = field.modulus, field.degree
-    la, lb = _length(a), _length(b)
-    if not la or not lb:
-        return [0] * n
+    la, lb = len(a), len(b)
     f = field.e // 2 if field.e % 2 == 0 else field.e
-    size = min(la + lb - 1, f)
     h = max(map(abs, modulus))
-    steps = max(size - n, 0)
+    steps = max(min(la + lb - 1, f) - n, 0)
     bound = min(la, lb) * max(map(abs, a)) * max(map(abs, b)) * (1 + h) ** steps
     # 2**w >= 2 * bound + h + 2: every remainder slot fits, and |R(2**w)| < Phi(2**w) / 2
     w = (2 * bound + h + 1).bit_length()
-    packed = _pack(a[:la], w) * _pack(b[:lb], w)
+    packed = _pack(a, w) * _pack(b, w)
     if la + lb - 1 > f:
         high = _rounded_shift(packed, w * f)
         packed -= high << (w * f)
@@ -110,19 +157,37 @@ def _mul_mod(a: Sequence[int], b: Sequence[int], field: CycloField) -> list[int]
     return _unpack(packed, w, n)
 
 
-def _rounded_shift(packed: int, shift: int) -> int:
-    """packed / 2**shift rounded to nearest: the slots from shift up, the ones below rounded away."""
-    return ((packed >> (shift - 1)) + 1) >> 1 if shift else packed
+def _euclid_inverse(a: Sequence[int], modulus: Sequence[int]) -> tuple[list[int], int]:
+    """(s, c) with a * s == c, a nonzero integer, modulo the irreducible modulus.
 
-
-def _top(packed: int, degree: int, count: int, w: int) -> list[int]:
-    """The count coefficients of a packed polynomial from its degree down, zeros below 0."""
-    coeffs, above = [], 0
-    for k in range(degree, max(degree - count, -1), -1):
-        rounded = _rounded_shift(packed, w * k)
-        coeffs.append(rounded - (above << w))
-        above = rounded
-    return coeffs + [0] * (count - len(coeffs))
+    Fraction-free extended Euclid: every step r0 <- lead(r1) r0 - lead(r0)
+    x^k r1 is repeated on the cofactor s0, and each (r, s) pair is divided
+    by its joint content, so r == s * a (mod modulus) holds throughout.
+    """
+    r0, s0, r1, s1 = list(modulus), [], list(a), [1]
+    while True:
+        while r1 and not r1[-1]:
+            r1.pop()
+        if not r1:
+            raise ZeroDivisionError("element shares a factor with the modulus")
+        if len(r1) == 1:
+            return s1, r1[0]
+        while len(r0) >= len(r1):
+            lead, c, k = r1[-1], r0[-1], len(r0) - len(r1)
+            if lead != 1:
+                r0 = [lead * x for x in r0]
+                s0 = [lead * x for x in s0]
+            s0 += [0] * (len(s1) + k - len(s0))
+            for j, x in enumerate(r1):
+                r0[j + k] -= c * x
+            for j, x in enumerate(s1):
+                s0[j + k] -= c * x
+            while r0 and not r0[-1]:
+                r0.pop()
+        g = math.gcd(*r0, *s0)
+        if g > 1:
+            r0, s0 = [x // g for x in r0], [x // g for x in s0]
+        r0, s0, r1, s1 = r1, s1, r0, s0
 
 
 def _prs_inverse(a: Sequence[int], modulus: Sequence[int], w: int) -> tuple[list[int], int]:
@@ -177,15 +242,30 @@ def _prs_inverse(a: Sequence[int], modulus: Sequence[int], w: int) -> tuple[list
 def _inverse(a: Sequence[int], field: CycloField) -> tuple[list[int], int]:
     """(s, c) with a * s == c, a nonzero integer, modulo Phi_e; a is nonzero.
 
+    The packed PRS is faster than fraction-free Euclid only in fields of
+    degree 16 to 64, on elements with three or more nonzero terms, all
+    below 2**16 (measured for e <= 150); elsewhere Euclid is as fast or
+    faster.
+    """
+    n, la = field.degree, _length(a)
+    a = a[:la]
+    if la == 1:
+        return [1] + [0] * (n - 1), a[0]
+    if 16 <= n <= 64 and la - a.count(0) >= 3 and max(map(abs, a)) < 1 << 16:
+        return _packed_inverse(a, field)
+    s, c = _euclid_inverse(a, field.modulus)
+    return field._remainder(s), c
+
+
+def _packed_inverse(a: Sequence[int], field: CycloField) -> tuple[list[int], int]:
+    """(s, c) from the packed PRS; a has no top zeros and degree at least 1.
+
     The PRS starts at the slot width of Hadamard's bound on the minors of
     Sylvester(modulus, a), and its answer is returned only once one exact
     product certifies it; otherwise the width doubles and the PRS runs again.
     """
-    modulus, n, la = field.modulus, field.degree, _length(a)
-    if la == 1:
-        return [1] + [0] * (n - 1), a[0]
-    a = a[:la]
-    hadamard_sq = sum(c * c for c in modulus) ** (la - 1) * sum(c * c for c in a) ** n
+    modulus, n = field.modulus, field.degree
+    hadamard_sq = sum(c * c for c in modulus) ** (len(a) - 1) * sum(c * c for c in a) ** n
     w = (math.isqrt(hadamard_sq) + 1).bit_length() + 1
     while True:
         try:
@@ -244,8 +324,8 @@ class CycloField:
         den = math.lcm(*(c.denominator for c in rem))
         return self._reduced([c.numerator * (den // c.denominator) for c in rem], den)
 
-    def _reduced(self, rem: list[int], den: int = 1) -> "CycloElem":
-        """The element rem(zeta) / den; reduces the int vector rem in place."""
+    def _remainder(self, rem: list[int]) -> list[int]:
+        """The degree coefficients of rem modulo Phi_e; reduces rem in place."""
         deg, terms = self.degree, self._terms
         for top in range(len(rem) - 1, deg - 1, -1):
             c = rem[top]
@@ -254,7 +334,11 @@ class CycloField:
                 for j, m in terms:
                     rem[base + j] -= c * m
         del rem[deg:]
-        return _normalised(self, rem + [0] * (deg - len(rem)), den)
+        return rem + [0] * (deg - len(rem))
+
+    def _reduced(self, rem: list[int], den: int = 1) -> "CycloElem":
+        """The element rem(zeta) / den; reduces the int vector rem in place."""
+        return _normalised(self, self._remainder(rem), den)
 
     def zeta_pow(self, k: int) -> "CycloElem":
         """zeta^k for any integer k: the monomial x^(k mod e), reduced."""
@@ -264,7 +348,10 @@ class CycloField:
         """(zeta^i - 1)^{-1}; i must not be divisible by e."""
         if i % self.e == 0:
             raise InvalidArgumentError("zeta^i - 1 vanishes for i = 0 mod e")
-        return (self.zeta_pow(i) - 1).inverse()
+        # fraction-free Euclid takes few steps on zeta^i - 1, even where its
+        # reduced form is dense and inverse() would pick the packed PRS
+        s, c = _euclid_inverse((self.zeta_pow(i) - 1).num, self.modulus)
+        return self._reduced(s, c)
 
 
 def _normalised(field: CycloField, num: list[int], den: int) -> "CycloElem":

@@ -320,7 +320,7 @@ def test_field_sums_match_closed_forms():
 
 
 # the reference route for * and inverse(): schoolbook products and fraction-free Euclid on
-# coefficient lists, the arithmetic the packed kernels replaced
+# coefficient lists, written here apart from the routes in src/
 def _ref_mul(x, y):
     f = x.field
     return f._reduced(_poly_mul_int(list(x.num), list(y.num)), x.den * y.den)
@@ -362,18 +362,27 @@ def _corpus(e, rng):
 
 @pytest.mark.parametrize("e", [1, 2, 3, 12, 37, 105, 150])
 def test_products_and_inverses_match_the_reference_route(e):
-    # Phi_105 has a coefficient -2; e = 150 has x^75 + 1 as its fold
+    # Phi_105 has a coefficient -2; e = 150 has x^75 + 1 as its fold.  * and inverse()
+    # pick a route from the operands, so the packed routes also run on every operand (the
+    # term-by-term product and fraction-free Euclid are the reference route itself)
+    from parabolic import cyclotomic
+    f = cyclo_field(e)
     rng = random.Random(e)
     elems = [x for x in _corpus(e, rng) if any(x.num)]
     for x in elems:
+        a = x.num[:cyclotomic._length(x.num)]
         for y in elems:
-            got, want = x * y, _ref_mul(x, y)
-            assert (got.num, got.den) == (want.num, want.den), (x, y)
+            b, want = y.num[:cyclotomic._length(y.num)], _ref_mul(x, y)
+            got = [x * y, f._reduced(cyclotomic._packed_mul(a, b, f), x.den * y.den)]
+            assert {(z.num, z.den) for z in got} == {(want.num, want.den)}, (x, y)
         for q in (3, -10**40, Fraction(-5, 12)):
             got, want = x * q, _ref_mul(x, x.field.from_rational(q))
             assert (got.num, got.den) == (want.num, want.den) == ((q * x).num, (q * x).den)
-        got, want = x.inverse(), _ref_inverse(x)
-        assert (got.num, got.den) == (want.num, want.den), x
+        got, want = [x.inverse()], _ref_inverse(x)
+        if len(a) > 1:
+            s, c = cyclotomic._packed_inverse(a, f)
+            got.append(f._reduced([v * x.den for v in s], c))
+        assert {(z.num, z.den) for z in got} == {(want.num, want.den)}, x
 
 
 def test_inverse_is_certified(monkeypatch):
@@ -389,8 +398,9 @@ def test_inverse_is_certified(monkeypatch):
         widths.append(w)
         return kernel(a, modulus, w if len(widths) > 1 else 3)
 
+    # small dense coefficients in a field of degree 36: inverse() takes the packed PRS
     f = cyclo_field(37)
-    x = f.from_cover([Fraction(3 * k - 50, k + 1) for k in range(36)])
+    x = f.from_cover([Fraction(3 * k - 50, 7) for k in range(36)])
     want = _ref_inverse(x)
     for patch in (wrong_first, narrow_first):
         widths.clear()
