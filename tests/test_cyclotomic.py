@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -141,11 +142,15 @@ def test_rational_operands_act_as_field_elements(e, q, data):
 
 
 def test_operators_refuse_other_operands():
+    # a bool is no rational operand: True would act as 1
     z = cyclo_field(5).zeta_pow(1)
-    with pytest.raises(TypeError):
-        z + "x"
-    with pytest.raises(TypeError):
-        z * "x"
+    for bad in ("x", True, 0.1):
+        with pytest.raises(TypeError):
+            z + bad
+        with pytest.raises(TypeError):
+            z * bad
+        with pytest.raises(TypeError):
+            bad * z
 
 
 def test_geometric_sum_examples():
@@ -239,7 +244,7 @@ def test_inertia_total_examples():
 
 
 def test_inertia_terms_sum_to_total_small():
-    # e = 101 runs the generic inverse at a large prime degree
+    # e = 101 runs the closed form of (zeta^i - 1)^-1 at a large prime degree
     cases = [(e, d) for e in range(2, 13) for d in range(e)] + [(101, 0), (101, 50)]
     for e, d in cases:
         total = sum((inertia_term(e, d, i) for i in range(1, e)), cyclo_field(e).from_rational(0))
@@ -254,11 +259,19 @@ def test_coeff_strings_serialization():
 
 
 def test_inv_omega_minus_one_inverts():
+    # the closed form against inverse(), which runs Euclid below degree 16 and the packed PRS
+    # from 16 up; i = 75 shares a factor with 105 and 150, and zeta^75 = -1 in Q(zeta_150)
+    cases = [(e, i) for e in range(1, 41) for i in range(1, 2 * e) if i % e]
+    cases += [(e, i) for e in (101, 105, 150) for i in (1, 2, 75, e - 1)]
+    for e, i in cases:
+        f = cyclo_field(e)
+        got = f.inv_omega_minus_one(i)
+        assert got * (f.zeta_pow(i) - 1) == f.from_rational(1), (e, i)
+        assert got == (f.zeta_pow(i) - 1).inverse(), (e, i)
+    f = cyclo_field(150)
+    assert f.inv_omega_minus_one(75) == f.from_rational(Fraction(-1, 2))
     for e in range(1, 41):
         f = cyclo_field(e)
-        for i in range(1, 2 * e):
-            if i % e:
-                assert f.inv_omega_minus_one(i) * (f.zeta_pow(i) - 1) == f.from_rational(1), (e, i)
         for i in (0, e, -e, 2 * e):
             with pytest.raises(InvalidArgumentError,
                                match=r"^zeta\^i - 1 vanishes for i = 0 mod e$"):
@@ -272,6 +285,8 @@ def test_from_cover_rejects_inexact_coefficients():
     for bad in (0.1, "1/3", True):
         with pytest.raises(InvalidArgumentError, match="coefficient 1 must be an int or Fraction"):
             f.from_cover([1, bad, 2])
+        with pytest.raises(InvalidArgumentError, match="coefficient 0 must be an int or Fraction"):
+            f.from_rational(bad)
 
 
 def _assert_normalised(x):
@@ -320,7 +335,7 @@ def test_field_sums_match_closed_forms():
 
 
 # the reference route for * and inverse(): schoolbook products and fraction-free Euclid on
-# coefficient lists, written here apart from the routes in src/
+# coefficient lists, written here apart from the kernels in src/
 def _ref_mul(x, y):
     f = x.field
     return f._reduced(_poly_mul_int(list(x.num), list(y.num)), x.den * y.den)
@@ -362,27 +377,19 @@ def _corpus(e, rng):
 
 @pytest.mark.parametrize("e", [1, 2, 3, 12, 37, 105, 150])
 def test_products_and_inverses_match_the_reference_route(e):
-    # Phi_105 has a coefficient -2; e = 150 has x^75 + 1 as its fold.  * and inverse()
-    # pick a route from the operands, so the packed routes also run on every operand (the
-    # term-by-term product and fraction-free Euclid are the reference route itself)
-    from parabolic import cyclotomic
-    f = cyclo_field(e)
+    # e in 1, 2, 3, 12 lies below inverse()'s cutoff at degree 16 and 37, 105, 150 above it.
+    # Phi_105 has a coefficient -2; e = 150 has x^75 + 1 as its fold
     rng = random.Random(e)
     elems = [x for x in _corpus(e, rng) if any(x.num)]
     for x in elems:
-        a = x.num[:cyclotomic._length(x.num)]
         for y in elems:
-            b, want = y.num[:cyclotomic._length(y.num)], _ref_mul(x, y)
-            got = [x * y, f._reduced(cyclotomic._packed_mul(a, b, f), x.den * y.den)]
-            assert {(z.num, z.den) for z in got} == {(want.num, want.den)}, (x, y)
+            got, want = x * y, _ref_mul(x, y)
+            assert (got.num, got.den) == (want.num, want.den), (x, y)
         for q in (3, -10**40, Fraction(-5, 12)):
             got, want = x * q, _ref_mul(x, x.field.from_rational(q))
             assert (got.num, got.den) == (want.num, want.den) == ((q * x).num, (q * x).den)
-        got, want = [x.inverse()], _ref_inverse(x)
-        if len(a) > 1:
-            s, c = cyclotomic._packed_inverse(a, f)
-            got.append(f._reduced([v * x.den for v in s], c))
-        assert {(z.num, z.den) for z in got} == {(want.num, want.den)}, x
+        got, want = x.inverse(), _ref_inverse(x)
+        assert (got.num, got.den) == (want.num, want.den), x
 
 
 def test_inverse_is_certified(monkeypatch):
@@ -410,3 +417,23 @@ def test_inverse_is_certified(monkeypatch):
         assert len(widths) == 2 and widths[1] == 2 * widths[0]
     with pytest.raises(ZeroDivisionError, match=r"^inverse of zero in a cyclotomic field$"):
         f.from_rational(0).inverse()
+
+    # field degree alone picks the algorithm: no element of Q(zeta_13), degree 12, enters
+    # the PRS, and the sparse zeta^5 - 1 of Q(zeta_37) does
+    degrees = []
+
+    def counted(a, modulus, w):
+        degrees.append(len(modulus) - 1)
+        return kernel(a, modulus, w)
+
+    monkeypatch.setattr(cyclotomic, "_prs_inverse", counted)
+    for x in _corpus(13, random.Random(13)) + [cyclo_field(13).zeta_pow(5) - 1]:
+        if any(x.num):
+            x.inverse()
+    assert not degrees
+    (f.zeta_pow(5) - 1).inverse()
+    assert degrees == [36]
+    # the benchmark's lib-batch field pairs lie on both sides of the cutoff
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import gen
+    assert {cyclo_field(e).degree >= 16 for e, _a, _b in gen.field_items(1)} == {False, True}
